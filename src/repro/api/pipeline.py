@@ -88,6 +88,7 @@ from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
 from repro.errors import WmXMLError
 from repro.perf.profiler import profiled
+from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
 from repro.xmlmodel.parser import parse, parse_many
 from repro.xmlmodel.serializer import serialize
@@ -362,18 +363,22 @@ class Pipeline:
         expected: Optional[MessageLike] = None,
         shape: Optional[DocumentShape] = None,
         strategy: str = "auto",
+        executor: Optional[LogicalExecutor] = None,
     ) -> DetectionResult:
         """Run the stored query set Q against a suspected document.
 
         ``shape`` names the document's *current* organisation; passing a
         different shape than the scheme's rewrites every stored query
         for it (Figure 2).  ``strategy`` picks the query engine — see
-        the module docstring.
+        the module docstring.  ``executor``, one already built over
+        ``document`` in that shape, spares the indexed engine its shred
+        (see :func:`repro.api.system.sweep_trace`); ``scan`` ignores it.
         """
         return self._decoder.detect(
             document, record, shape or self.scheme.shape,
             expected=None if expected is None else _as_watermark(expected),
             indexed=_resolve_strategy(strategy),
+            executor=executor,
         )
 
     @profiled("api.detect_many")

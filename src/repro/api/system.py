@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.api.pipeline import (
     DocumentLike,
     MessageLike,
     Pipeline,
+    _resolve_strategy,
     content_fingerprint,
     scheme_content_key,
 )
@@ -35,6 +36,7 @@ from repro.errors import SchemeFormatError, UnknownSchemeError
 from repro.registry import (RegistryNotConfiguredError, UnknownRecipientError,
                             WatermarkRegistry)
 from repro.registry.records import RegistryRecord
+from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
 from repro.xmlmodel.tree import Document
 
@@ -45,6 +47,10 @@ SchemeLike = Union[str, WatermarkingScheme, dict]
 #: schemes can arrive from the wire on every request, so they evict
 #: least-recently-used beyond this many distinct deployments.
 CONTENT_CACHE_MAX = 64
+
+#: Prefix of the registry identity that records an owner embed of a
+#: bit string with no text form (``bits:0101...``).
+BITS_PREFIX = "bits:"
 
 
 class WmXMLSystem:
@@ -279,9 +285,15 @@ class WmXMLSystem:
     def recipient_pipeline(self, scheme: SchemeLike, recipient: str,
                            alpha: Optional[float] = None) -> Pipeline:
         """The compiled pipeline under ``recipient``'s derived key."""
-        effective_alpha = self.alpha if alpha is None else alpha
         resolved = self._resolve(scheme)
-        content = scheme_content_key(resolved)
+        return self._recipient_pipeline(
+            resolved, scheme_content_key(resolved), recipient,
+            self.alpha if alpha is None else alpha)
+
+    def _recipient_pipeline(self, resolved: WatermarkingScheme,
+                            content: str, recipient: str,
+                            effective_alpha: float) -> Pipeline:
+        """:meth:`recipient_pipeline` for an already-resolved scheme."""
         key = (content, recipient, effective_alpha)
         with self._lock:
             pipeline = self._recipient_pipelines.pop(key, None)
@@ -316,7 +328,7 @@ class WmXMLSystem:
             text = message.to_message(strict=False)
             if text is not None:
                 return text
-            return "bits:" + "".join(str(bit) for bit in message.bits)
+            return BITS_PREFIX + "".join(str(bit) for bit in message.bits)
         return message
 
     def _stamp(self, record: WatermarkRecord) -> None:
@@ -446,34 +458,12 @@ class WmXMLSystem:
         restricts the sweep and must name known identities.
         """
         registry = self._require_registry()
-        scheme_fingerprint = self.scheme_fingerprint(scheme)
-        entries = registry.records(scheme_fingerprint=scheme_fingerprint)
-        if recipients is not None:
-            wanted = set(recipients)
-            known = {entry.recipient for entry in entries}
-            missing = wanted - known
-            if missing:
-                raise UnknownRecipientError(
-                    sorted(missing)[0], known=registry.recipients())
-            entries = [entry for entry in entries
-                       if entry.recipient in wanted]
-        best: dict[str, tuple[tuple, DetectionResult]] = {}
-        for entry in entries:
-            if entry.keying == "recipient":
-                pipeline = self.recipient_pipeline(scheme, entry.recipient)
-            else:
-                pipeline = self.pipeline(scheme)
-            verdict = pipeline.detect(
-                document, entry.record, expected=entry.recipient,
-                shape=shape, strategy=strategy)
-            rank = (verdict.p_value,
-                    entry.sequence if entry.sequence is not None else 0)
-            current = best.get(entry.recipient)
-            if current is None or rank < current[0]:
-                best[entry.recipient] = (rank, verdict)
-        return TraceResult(verdicts={name: verdict
-                                     for name, (_, verdict)
-                                     in best.items()})
+        entries = registry.records(
+            scheme_fingerprint=self.scheme_fingerprint(scheme))
+        return sweep_trace(
+            only_recipients(entries, recipients, registry.recipients),
+            document, scheme, lambda entry: self, shape=shape,
+            strategy=strategy)
 
     def detect_recorded(self, scheme: SchemeLike, document: Document,
                         recipient: str,
@@ -494,8 +484,32 @@ class WmXMLSystem:
         else:
             pipeline = self.pipeline(scheme)
         return pipeline.detect(document, entry.record,
-                               expected=entry.recipient, shape=shape,
-                               strategy=strategy)
+                               expected=recorded_message(entry),
+                               shape=shape, strategy=strategy)
+
+    def _trace_pipelines(
+            self, scheme: SchemeLike) -> Callable[[RegistryRecord], Pipeline]:
+        """The pipeline that verifies each of a trace's records.
+
+        ``scheme`` is resolved once here, not once per record: a
+        recipient's record looks its derived-key pipeline up in the
+        recipient-pipeline cache, and every owner record shares the one
+        system-key pipeline.
+        """
+        resolved = self._resolve(scheme)
+        content = scheme_content_key(resolved)
+        owner: Optional[Pipeline] = None
+
+        def pipeline_for(entry: RegistryRecord) -> Pipeline:
+            nonlocal owner
+            if entry.keying == "recipient":
+                return self._recipient_pipeline(resolved, content,
+                                                entry.recipient, self.alpha)
+            if owner is None:
+                owner = self.pipeline(scheme)
+            return owner
+
+        return pipeline_for
 
     def detect(
         self,
@@ -528,3 +542,84 @@ class WmXMLSystem:
     def __repr__(self) -> str:
         return (f"WmXMLSystem(key_fingerprint={self._fingerprint!r}, "
                 f"schemes={self.scheme_names()!r})")
+
+
+def recorded_message(entry: RegistryRecord) -> MessageLike:
+    """The message ``entry``'s copy was embedded with.
+
+    A registry identity is the message itself, except for an owner
+    embed of a bit string with no text form, recorded as
+    ``bits:0101...``: that one verifies against its bits.  A text
+    message that merely reads ``bits:...`` has 8 UTF-8 bits per
+    character, prefix included, so it never has as many bits as the
+    digits that follow its prefix; the record's ``nbits`` tells the
+    two apart.
+    """
+    identity = entry.recipient
+    if entry.keying == "system" and identity.startswith(BITS_PREFIX):
+        digits = identity[len(BITS_PREFIX):]
+        if len(digits) == entry.record.nbits and set(digits) <= {"0", "1"}:
+            return Watermark([int(digit) for digit in digits])
+    return identity
+
+
+def only_recipients(entries: list[RegistryRecord],
+                    recipients: Optional[Iterable[str]],
+                    known: Callable[[], list[str]]) -> list[RegistryRecord]:
+    """``entries`` restricted to ``recipients`` (all when ``None``).
+
+    Every wanted recipient must have a record among ``entries``;
+    otherwise :class:`UnknownRecipientError` names the first missing
+    one, listing ``known()`` as the identities there are.
+    """
+    if recipients is None:
+        return entries
+    wanted = set(recipients)
+    missing = wanted - {entry.recipient for entry in entries}
+    if missing:
+        raise UnknownRecipientError(sorted(missing)[0], known=known())
+    return [entry for entry in entries if entry.recipient in wanted]
+
+
+def sweep_trace(entries: Sequence[RegistryRecord], document: Document,
+                scheme: SchemeLike,
+                system_for: Callable[[RegistryRecord], WmXMLSystem],
+                *,
+                shape: Optional[DocumentShape],
+                strategy: str) -> TraceResult:
+    """Verify every record against one suspected copy.
+
+    The one trace loop behind :meth:`WmXMLSystem.trace` and
+    :meth:`~repro.tenants.TenantDirectory.trace`.  ``system_for(entry)``
+    is the system whose key issued the entry (a tenant directory maps
+    each key generation to its own).  The suspect is shredded once: the
+    first record builds a :class:`LogicalExecutor` over it and every
+    later record reuses it (``scan`` builds none, an empty sweep
+    shreds nothing).  Each record is still authenticated under its own
+    key, voted against the message it was embedded with, and ranked by
+    (p-value, sequence): each recipient keeps their lowest p-value,
+    ties keeping the earlier record.
+    """
+    lookups: dict[int, Callable[[RegistryRecord], Pipeline]] = {}
+    executor: Optional[LogicalExecutor] = None
+    best: dict[str, tuple[tuple, DetectionResult]] = {}
+    for entry in entries:
+        system = system_for(entry)
+        lookup = lookups.get(id(system))
+        if lookup is None:
+            lookup = lookups[id(system)] = system._trace_pipelines(scheme)
+        pipeline = lookup(entry)
+        target = shape or pipeline.shape
+        if _resolve_strategy(strategy) and (
+                executor is None or executor.shape != target):
+            executor = LogicalExecutor(document, target)
+        verdict = pipeline.detect(
+            document, entry.record, expected=recorded_message(entry),
+            shape=target, strategy=strategy, executor=executor)
+        rank = (verdict.p_value,
+                entry.sequence if entry.sequence is not None else 0)
+        current = best.get(entry.recipient)
+        if current is None or rank < current[0]:
+            best[entry.recipient] = (rank, verdict)
+    return TraceResult(verdicts={name: verdict
+                                 for name, (_, verdict) in best.items()})

@@ -122,10 +122,13 @@ class KeyedPRF:
     def selects(self, identity: str, gamma: int) -> bool:
         """The 1-in-gamma selection test (Agrawal–Kiernan style).
 
-        With ``gamma == 1`` every candidate is selected.
+        With ``gamma == 1`` every candidate is selected; the digest
+        would be taken ``mod 1``, so it is not computed (nor memoised).
         """
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
+        if gamma == 1:
+            return True
         return self.integer("wm-select", identity) % gamma == 0
 
     def selects_many(self, identities: Iterable[str],
@@ -133,6 +136,8 @@ class KeyedPRF:
         """Batch form of :meth:`selects` over many identities."""
         if gamma < 1:
             raise ValueError("gamma must be >= 1")
+        if gamma == 1:
+            return [True for _ in identities]
         digest = self.digest
         return [
             int.from_bytes(digest("wm-select", identity)[:8], "big")

@@ -39,6 +39,7 @@ from repro.core.watermark import (
 from repro.errors import RecordFormatError
 from repro.serialize import VersionedDocument
 from repro.perf.profiler import profiled
+from repro.rewriting.executor import LogicalExecutor
 from repro.rewriting.rewriter import compile_logical
 from repro.semantics.errors import RecordError
 from repro.semantics.shape import DocumentShape
@@ -172,6 +173,7 @@ class WmXMLDecoder:
         shape: DocumentShape,
         expected: Optional[Watermark] = None,
         indexed: bool = False,
+        executor: Optional[LogicalExecutor] = None,
     ) -> DetectionResult:
         """Run the query set Q against ``document`` and tally votes.
 
@@ -183,7 +185,11 @@ class WmXMLDecoder:
         :class:`~repro.rewriting.executor.LogicalExecutor` (one shred +
         inverted indexes) instead of per-query XPath evaluation, turning
         detection from O(|Q|·|doc|) into O(|doc| + |Q|) — same votes,
-        same verdict.
+        same verdict.  ``executor`` is one already built over
+        ``document`` in ``shape``; the indexed path then reuses it
+        instead of shredding the document again (a trace verifies every
+        issued record against one).  Without it, ``indexed=True``
+        builds its own.
 
         Every stored query is first *authenticated against the key*: its
         keyed selection and bit index must re-derive from (key,
@@ -196,11 +202,13 @@ class WmXMLDecoder:
         a few entries would otherwise harvest their honestly-embedded —
         hence perfectly matching — votes.
         """
-        executor = None
-        if indexed:
-            from repro.rewriting.executor import LogicalExecutor
-
+        if not indexed:
+            executor = None
+        elif executor is None:
             executor = LogicalExecutor(document, shape)
+        elif executor.document is not document or executor.shape != shape:
+            raise ValueError(
+                "executor was built over another document or shape")
         tally = VoteTally()
         queries_answered = 0
         queries_rejected = 0

@@ -32,6 +32,7 @@ from repro.core.record import WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
 from repro.errors import RecordFormatError
+from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
 from repro.serialize import VersionedDocument
 from repro.xmlmodel.tree import Document
@@ -134,8 +135,16 @@ class Fingerprinter:
     def trace(self, suspected: Document,
               shape: Optional[DocumentShape] = None,
               indexed: bool = True) -> TraceResult:
-        """Detect every issued fingerprint against a leaked copy."""
+        """Detect every issued fingerprint against a leaked copy.
+
+        The leaked copy is shredded once, into one executor that every
+        recipient's detection reuses; each is still authenticated under
+        that recipient's own key.
+        """
         target_shape = shape or self.scheme.shape
+        executor = None
+        if indexed and self._issued:
+            executor = LogicalExecutor(suspected, target_shape)
         result = TraceResult()
         for recipient, record in self._issued.items():
             decoder = WmXMLDecoder(self.recipient_key(recipient),
@@ -143,5 +152,5 @@ class Fingerprinter:
             result.verdicts[recipient] = decoder.detect(
                 suspected, record, target_shape,
                 expected=Watermark.from_message(recipient),
-                indexed=indexed)
+                indexed=indexed, executor=executor)
         return result

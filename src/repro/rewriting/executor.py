@@ -15,6 +15,11 @@ Semantics match XPath compilation for the queries WmXML generates
 (equality conditions over shape fields) — asserted by the test suite on
 clean *and* attacked documents — while detection cost drops to
 O(|document| + |Q|).
+
+An executor is read-only once built: :meth:`LogicalExecutor.execute`
+only reads the rows and posting lists, so one instance answers the
+queries of any number of records.  A trace builds one over the
+suspected copy and verifies every issued record against it.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ class LogicalExecutor:
 
     def __init__(self, document: Union[Document, Element],
                  shape: DocumentShape) -> None:
+        self.document = document
         self.shape = shape
         self._rows = shape.shred(document)
         # field -> value -> sorted row ids

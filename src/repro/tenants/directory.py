@@ -27,12 +27,10 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.api.system import WmXMLSystem
-from repro.core.decoder import DetectionResult
+from repro.api.system import WmXMLSystem, only_recipients, sweep_trace
 from repro.core.fingerprint import TraceResult
 from repro.core.scheme import WatermarkingScheme
-from repro.registry import (RegistryNotConfiguredError,
-                            UnknownRecipientError, WatermarkRegistry)
+from repro.registry import RegistryNotConfiguredError, WatermarkRegistry
 
 from .config import TenantConfig, TenantsConfig
 from .errors import ForbiddenError, TenantConfigError, UnauthorizedError
@@ -256,31 +254,10 @@ class TenantDirectory:
                 scheme_fingerprint=fingerprint, tenant=tenant))
         entries.sort(key=lambda e: e.sequence
                      if e.sequence is not None else 0)
-        if recipients is not None:
-            wanted = set(recipients)
-            known = {entry.recipient for entry in entries}
-            missing = wanted - known
-            if missing:
-                raise UnknownRecipientError(
-                    sorted(missing)[0], known=sorted(known))
-            entries = [entry for entry in entries
-                       if entry.recipient in wanted]
-        best: Dict[str, Tuple[tuple, DetectionResult]] = {}
-        for entry in entries:
-            system = self.system(tenant, entry.key_id)
-            if entry.keying == "recipient":
-                pipeline = system.recipient_pipeline(scheme,
-                                                     entry.recipient)
-            else:
-                pipeline = system.pipeline(scheme)
-            verdict = pipeline.detect(
-                document, entry.record, expected=entry.recipient,
-                shape=shape, strategy=strategy)
-            rank = (verdict.p_value,
-                    entry.sequence if entry.sequence is not None else 0)
-            current = best.get(entry.recipient)
-            if current is None or rank < current[0]:
-                best[entry.recipient] = (rank, verdict)
-        return TraceResult(verdicts={name: verdict
-                                     for name, (_, verdict)
-                                     in best.items()})
+        return sweep_trace(
+            only_recipients(
+                entries, recipients,
+                lambda: sorted({entry.recipient for entry in entries})),
+            document, scheme,
+            lambda entry: self.system(tenant, entry.key_id),
+            shape=shape, strategy=strategy)

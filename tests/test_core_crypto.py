@@ -1,8 +1,13 @@
 """Unit tests for the keyed PRF."""
 
+import hashlib
+import hmac
+
 import pytest
 
+from repro.api import Pipeline
 from repro.core import KeyedPRF
+from repro.datasets import bibliography
 
 
 class TestKeyedPRF:
@@ -54,6 +59,40 @@ class TestSelection:
     def test_gamma_one_selects_all(self):
         prf = KeyedPRF("secret")
         assert all(prf.selects(f"id-{i}", 1) for i in range(50))
+
+    def test_gamma_one_computes_no_digest(self):
+        # HMAC mod 1 is always 0: nothing to compute, nothing memoised.
+        prf = KeyedPRF("secret")
+        identities = [f"id-{i}" for i in range(50)]
+        assert prf.selects_many(identities, 1) == [True] * 50
+        assert prf.selects_many(iter(identities), 1) == [True] * 50
+        assert prf.selects("id-0", 1)
+        assert prf._memo == {}
+
+    def test_gamma_one_pipeline_memo_has_no_selection_entries(self):
+        scheme = bibliography.default_scheme(1)
+        document = bibliography.generate_document(
+            bibliography.BibliographyConfig(books=20, editors=3, seed=5))
+        pipeline = Pipeline(scheme, "secret")
+        result = pipeline.embed(document, "(c) memo")
+        assert pipeline.detect(result.document, result.record,
+                               expected="(c) memo").detected
+        for prf in (pipeline._encoder.prf, pipeline._decoder.prf):
+            assert prf._memo
+            assert not [key for key in prf._memo if key[0] == "wm-select"]
+
+    def test_gamma_above_one_answers_unchanged(self):
+        prf = KeyedPRF("secret")
+        identities = [f"id-{i}" for i in range(400)]
+        for gamma in (2, 3, 7):
+            expected = [
+                int.from_bytes(hmac.new(
+                    b"secret", b"wm-select\x1f" + identity.encode(),
+                    hashlib.sha256).digest()[:8], "big") % gamma == 0
+                for identity in identities]
+            assert prf.selects_many(identities, gamma) == expected
+            assert [prf.selects(identity, gamma)
+                    for identity in identities] == expected
 
     def test_gamma_rate_roughly_inverse(self):
         prf = KeyedPRF("secret")
