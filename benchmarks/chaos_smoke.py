@@ -20,12 +20,9 @@ Run from the repo root::
 from __future__ import annotations
 
 import os
-import re
-import signal
 import subprocess
 import sys
 import tempfile
-import threading
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -35,6 +32,13 @@ from repro.datasets import bibliography  # noqa: E402
 from repro.errors import WmXMLError  # noqa: E402
 from repro.service import WmXMLClient  # noqa: E402
 from repro.xmlmodel import serialize  # noqa: E402
+
+from service_smoke import (  # noqa: E402
+    daemon_env,
+    read_bound_port,
+    start_daemon,
+    stop_daemon,
+)
 
 KEY = "chaos-smoke-secret"
 
@@ -65,49 +69,8 @@ SCENARIOS = {
 }
 
 
-def read_bound_port(daemon: subprocess.Popen) -> int:
-    """Parse the ephemeral port from the daemon's startup banner."""
-    for line in daemon.stdout:
-        print(line, end="")
-        match = re.search(r"listening on http://[^:]+:(\d+)", line)
-        if match:
-            threading.Thread(
-                target=lambda: [print(rest, end="")
-                                for rest in daemon.stdout],
-                daemon=True).start()
-            return int(match.group(1))
-    raise AssertionError(
-        f"daemon exited (code {daemon.wait()}) before printing its port")
-
-
-def start_daemon(scheme_path: str, registry_path: str,
-                 wmxml_faults: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (os.path.join(REPO, "src")
-                         + os.pathsep + env.get("PYTHONPATH", ""))
-    env["WMXML_FAULTS"] = wmxml_faults
-    return subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.cli", "serve",
-         "--scheme", f"books={scheme_path}", "--key", KEY,
-         "--registry", registry_path, "--issuer", "chaos-smoke",
-         "--processes", "2", "--retry-after", "0", "--port", "0"],
-        env=env, cwd=REPO, stdout=subprocess.PIPE, text=True)
-
-
-def stop_daemon(daemon: subprocess.Popen) -> int:
-    daemon.send_signal(signal.SIGTERM)
-    try:
-        return daemon.wait(timeout=15)
-    except subprocess.TimeoutExpired:
-        daemon.kill()
-        daemon.wait()
-        return -9
-
-
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (os.path.join(REPO, "src")
-                         + os.pathsep + env.get("PYTHONPATH", ""))
+    env = daemon_env()
     env.pop("WMXML_FAULTS", None)
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
@@ -117,7 +80,11 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
 def sweep_point(point: str, arming: str, scheme_path: str,
                 tmp: str, texts: list[str]) -> None:
     registry_path = os.path.join(tmp, f"{point.replace('.', '-')}.db")
-    daemon = start_daemon(scheme_path, registry_path, arming)
+    daemon = start_daemon(
+        "--scheme", f"books={scheme_path}", "--key", KEY,
+        "--registry", registry_path, "--issuer", "chaos-smoke",
+        "--processes", "2", "--retry-after", "0",
+        env=dict(daemon_env(), WMXML_FAULTS=arming))
     try:
         port = read_bound_port(daemon)
         client = WmXMLClient(f"http://127.0.0.1:{port}", scheme="books",

@@ -17,12 +17,8 @@ Run from the repo root::
 from __future__ import annotations
 
 import os
-import re
-import signal
-import subprocess
 import sys
 import tempfile
-import threading
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -32,47 +28,16 @@ from repro.datasets import bibliography  # noqa: E402
 from repro.service import WmXMLClient  # noqa: E402
 from repro.xmlmodel import parse, serialize  # noqa: E402
 
+from service_smoke import (  # noqa: E402
+    read_bound_port,
+    start_daemon,
+    stop_daemon,
+)
+
 RECIPIENTS = ("alice", "bob", "carol", "dave", "erin")
 COLLUDERS = ("alice", "carol", "erin")
 #: 5 recipients x 4 documents = the 20 issued copies the registry holds.
 DOCS_PER_RECIPIENT = 4
-
-
-def read_bound_port(daemon: subprocess.Popen) -> int:
-    """Parse the ephemeral port from the daemon's startup banner."""
-    for line in daemon.stdout:
-        print(line, end="")
-        match = re.search(r"listening on http://[^:]+:(\d+)", line)
-        if match:
-            threading.Thread(
-                target=lambda: [print(rest, end="")
-                                for rest in daemon.stdout],
-                daemon=True).start()
-            return int(match.group(1))
-    raise AssertionError(
-        f"daemon exited (code {daemon.wait()}) before printing its port")
-
-
-def start_daemon(scheme_path: str, registry_path: str) -> subprocess.Popen:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (os.path.join(REPO, "src")
-                         + os.pathsep + env.get("PYTHONPATH", ""))
-    return subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro.cli", "serve",
-         "--scheme", f"books={scheme_path}", "--key", "smoke-secret",
-         "--registry", registry_path, "--issuer", "registry-smoke",
-         "--port", "0"],
-        env=env, cwd=REPO, stdout=subprocess.PIPE, text=True)
-
-
-def stop_daemon(daemon: subprocess.Popen) -> int:
-    daemon.send_signal(signal.SIGTERM)
-    try:
-        return daemon.wait(timeout=15)
-    except subprocess.TimeoutExpired:
-        daemon.kill()
-        daemon.wait()
-        return -9
 
 
 def main() -> int:
@@ -80,6 +45,9 @@ def main() -> int:
         scheme_path = os.path.join(tmp, "books.json")
         bibliography.default_scheme(2).save(scheme_path)
         registry_path = os.path.join(tmp, "registry.db")
+        serve_args = ("--scheme", f"books={scheme_path}",
+                      "--key", "smoke-secret", "--registry", registry_path,
+                      "--issuer", "registry-smoke")
 
         # The shared corpus document is large enough that a three-way
         # majority collusion still leaves each colluder detectable.
@@ -94,7 +62,7 @@ def main() -> int:
         ]
 
         # -- first daemon lifetime: populate the registry ----------------
-        daemon = start_daemon(scheme_path, registry_path)
+        daemon = start_daemon(*serve_args)
         copies: dict[str, str] = {}
         try:
             port = read_bound_port(daemon)
@@ -124,7 +92,7 @@ def main() -> int:
         leak = serialize(attacked.document)
 
         # -- second daemon lifetime over the same database ---------------
-        daemon = start_daemon(scheme_path, registry_path)
+        daemon = start_daemon(*serve_args)
         try:
             port = read_bound_port(daemon)
             client = WmXMLClient(f"http://127.0.0.1:{port}",

@@ -4,7 +4,8 @@ The CI leg for the daemon.  It exercises exactly what a deployment
 does: start ``wmxml serve`` as its own process, wait for it through the
 client's connection-refused retry loop, run an embed/detect round-trip
 plus a pooled batch over loopback HTTP, read ``/v1/healthz`` and
-``/v1/stats``, then SIGTERM the daemon and assert it exits 0.
+``/v1/stats``, then SIGTERM the daemon and assert it exits 0.  The
+other smoke scripts import their daemon start/stop plumbing from here.
 
 Run from the repo root::
 
@@ -29,6 +30,24 @@ from repro.service import WmXMLClient  # noqa: E402
 from repro.xmlmodel import serialize  # noqa: E402
 
 
+def daemon_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.join(REPO, "src")
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    return env
+
+
+def start_daemon(*serve_args: str, env=None) -> subprocess.Popen:
+    """``wmxml serve`` on an ephemeral port, stdout piped for
+    :func:`read_bound_port`."""
+    return subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.cli", "serve", *serve_args,
+         "--port", "0"],
+        env=env or daemon_env(), cwd=REPO, stdout=subprocess.PIPE,
+        text=True)
+
+
 def read_bound_port(daemon: subprocess.Popen) -> int:
     """Parse the ephemeral port from the daemon's startup banner.
 
@@ -50,19 +69,28 @@ def read_bound_port(daemon: subprocess.Popen) -> int:
         f"daemon exited (code {daemon.wait()}) before printing its port")
 
 
+def stop_daemon(daemon: subprocess.Popen) -> int:
+    """SIGTERM the daemon and return its exit code.
+
+    A daemon still running after 15 s is killed (reported as -9), so a
+    wedged daemon cannot mask the real failure or outlive the run.
+    """
+    daemon.send_signal(signal.SIGTERM)
+    try:
+        return daemon.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        daemon.kill()
+        daemon.wait()
+        return -9
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         scheme_path = os.path.join(tmp, "books.json")
         bibliography.default_scheme(2).save(scheme_path)
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (os.path.join(REPO, "src")
-                             + os.pathsep + env.get("PYTHONPATH", ""))
-        daemon = subprocess.Popen(
-            [sys.executable, "-u", "-m", "repro.cli", "serve",
-             "--scheme", f"books={scheme_path}", "--key", "smoke-secret",
-             "--port", "0", "--processes", "2"],
-            env=env, cwd=REPO, stdout=subprocess.PIPE, text=True)
+        daemon = start_daemon("--scheme", f"books={scheme_path}",
+                              "--key", "smoke-secret", "--processes", "2")
         try:
             port = read_bound_port(daemon)
             client = WmXMLClient(f"http://127.0.0.1:{port}",
@@ -102,15 +130,7 @@ def main() -> int:
             print(f"stats ok: {stats['requests']} requests, "
                   f"{len(stats['endpoints'])} endpoints timed")
         finally:
-            daemon.send_signal(signal.SIGTERM)
-            try:
-                returncode = daemon.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                # Don't let a wedged daemon mask the real failure (and
-                # don't leave the process alive on the runner).
-                daemon.kill()
-                daemon.wait()
-                returncode = -9
+            returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"
         print("clean shutdown ok (exit 0)")
         print("SERVICE SMOKE PASSED")

@@ -89,6 +89,7 @@ from repro.errors import (
     SerializationError,
     UnknownSchemeError,
     WatermarkDecodeError,
+    WatermarkMessageError,
     WmXMLError,
     error_code,
     error_payload,
@@ -200,6 +201,7 @@ __all__ = [
     "SerializationError",
     "UnknownSchemeError",
     "WatermarkDecodeError",
+    "WatermarkMessageError",
     "XMLError",
     "XPathError",
 ]

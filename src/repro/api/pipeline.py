@@ -314,8 +314,7 @@ class Pipeline:
 
         One compiled pipeline serves the whole batch, so the PRF digest
         memo and plug-in instances warmed by the first document are
-        reused by the rest (tracked by the E9 bench's
-        ``api_embed_many_ms`` stage).
+        reused by the rest (the benchmark's ``batch-pool`` workload).
 
         Entries may be raw XML strings.  With ``processes=N`` the full
         per-document pipeline (parse -> embed -> serialise) is sharded

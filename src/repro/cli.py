@@ -55,7 +55,6 @@ from repro.datasets import bibliography, jobs, library
 from repro.errors import error_payload
 from repro.harness import EXPERIMENTS, ExperimentConfig
 from repro.perf import StageTimer, ThroughputReporter, use_timer
-from repro.perf import bench as perf_bench
 from repro.registry import RegistryUnavailableError
 from repro.semantics import (
     discover_fds,
@@ -930,18 +929,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the E9 regression bench and archive BENCH_e9.json."""
-    try:
-        return perf_bench.run_and_check(
-            path=args.output, books=args.books, repeats=args.repeats,
-            check=not args.no_check, smoke=args.smoke,
-            processes=args.processes)
-    except (perf_bench.BenchError, ValueError) as error:
-        print(f"error: {error}")
-        return 2
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig(books=args.size, seed=args.seed)
     if args.id == "all":
@@ -1300,21 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--key", "-k", default="wmxml-perf-key")
     perf.add_argument("--message", "-m", default="(c) WmXML")
     perf.set_defaults(handler=cmd_perf)
-
-    bench = sub.add_parser(
-        "bench", help="run the E9 regression bench (BENCH_e9.json)")
-    bench.add_argument("--books", type=int, default=200)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--output", "-o", default=perf_bench.BENCH_FILE)
-    bench.add_argument("--no-check", action="store_true",
-                       help="record timings without gating on regression")
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI smoke mode: single repetition, no "
-                       "regression gate, no archive write")
-    bench.add_argument("--processes", type=int, default=4,
-                       help="worker count for the parallel batch-engine "
-                       "stages (0 skips them; default 4)")
-    bench.set_defaults(handler=cmd_bench)
 
     experiment = sub.add_parser("experiment",
                                 help="run an E1-E10 experiment")

@@ -37,6 +37,9 @@ class CategoricalAlgorithm(WatermarkAlgorithm):
         domain = tuple(domain)
         if len(domain) < 2:
             raise AlgorithmError("categorical domain needs >= 2 values")
+        if not all(isinstance(value, str) for value in domain):
+            raise AlgorithmError("categorical domain values must be "
+                                 "strings")
         if len(set(domain)) != len(domain):
             raise AlgorithmError("categorical domain has duplicates")
         self.domain = domain

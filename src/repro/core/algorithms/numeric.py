@@ -32,8 +32,11 @@ class NumericAlgorithm(WatermarkAlgorithm):
     name = "numeric"
 
     def __init__(self, fraction_digits: int = 0) -> None:
-        if fraction_digits < 0 or fraction_digits > 9:
-            raise AlgorithmError("fraction_digits must be in [0, 9]")
+        if (not isinstance(fraction_digits, int)
+                or isinstance(fraction_digits, bool)
+                or not 0 <= fraction_digits <= 9):
+            raise AlgorithmError("fraction_digits must be an integer in "
+                                 "[0, 9]")
         self.fraction_digits = fraction_digits
         self._scale = 10 ** fraction_digits
 

@@ -36,7 +36,7 @@ from repro.core.watermark import (
     binomial_pvalue,
     bit_error_rate,
 )
-from repro.errors import RecordFormatError
+from repro.errors import RecordFormatError, WatermarkMessageError
 from repro.serialize import VersionedDocument
 from repro.perf.profiler import profiled
 from repro.rewriting.executor import LogicalExecutor
@@ -202,6 +202,10 @@ class WmXMLDecoder:
         a few entries would otherwise harvest their honestly-embedded —
         hence perfectly matching — votes.
         """
+        if expected is not None and len(expected) != record.nbits:
+            raise WatermarkMessageError(
+                f"the expected message has {len(expected)} bits, but the "
+                f"record's watermark has {record.nbits}")
         if not indexed:
             executor = None
         elif executor is None:

@@ -19,12 +19,37 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Optional
 
+from repro.core.watermark import MAX_WATERMARK_BITS
 from repro.errors import RecordFormatError
 from repro.rewriting.logical import LogicalQuery
 from repro.serialize import VersionedDocument
 
 #: Version tag of the persisted record format.
 RECORD_FORMAT = "wmxml-record-v1"
+
+
+def _field(data: dict, name: str, kind: type, low: Optional[int] = None,
+           high: Optional[int] = None, optional: bool = False) -> Any:
+    """``data[name]`` if it is a ``kind`` within ``[low, high]``.
+
+    Records arrive over the wire, so the fields detection computes with
+    are checked when a record is parsed, not deep inside detection.  A
+    JSON ``true`` is not an integer, although Python counts it as one.
+    """
+    value = data.get(name) if optional else data[name]
+    if value is None and optional:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise RecordFormatError(
+            f"record field {name!r} must be {kind.__name__}, got "
+            f"{type(value).__name__}")
+    if low is not None and value < low:
+        raise RecordFormatError(
+            f"record field {name!r} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise RecordFormatError(
+            f"record field {name!r} must be <= {high}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,14 +94,34 @@ class WatermarkQuery:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "WatermarkQuery":
+    def from_dict(cls, data: dict,
+                  nbits: int = MAX_WATERMARK_BITS) -> "WatermarkQuery":
+        # Checked inline, not through _field: a trace parses every
+        # query of every issued record.
+        identity, field_name = data["identity"], data["field"]
+        algorithm, bit_index = data["algorithm"], data["bit_index"]
+        if not (isinstance(identity, str) and isinstance(field_name, str)
+                and isinstance(algorithm, str)):
+            raise RecordFormatError(
+                "a record query's identity, field and algorithm must be "
+                "strings")
+        if type(bit_index) is not int or not 0 <= bit_index < nbits:
+            raise RecordFormatError(
+                f"a record query's bit_index must be an integer in "
+                f"[0, {nbits})")
+        params = []
+        for name, value in data["params"]:
+            if not isinstance(name, str):
+                raise RecordFormatError(
+                    "a record query's params must be named by strings")
+            params.append((name, value))
         return cls(
-            identity=data["identity"],
+            identity=identity,
             query=LogicalQuery.from_dict(data["query"]),
-            bit_index=data["bit_index"],
-            field=data["field"],
-            algorithm=data["algorithm"],
-            params=tuple((name, value) for name, value in data["params"]),
+            bit_index=bit_index,
+            field=field_name,
+            algorithm=algorithm,
+            params=tuple(params),
         )
 
 
@@ -120,15 +165,16 @@ class WatermarkRecord(VersionedDocument):
     def from_dict(cls, data: dict) -> "WatermarkRecord":
         cls._check_format(data)
         try:
+            nbits = _field(data, "nbits", int, 1, MAX_WATERMARK_BITS)
             return cls(
-                gamma=data["gamma"],
-                nbits=data["nbits"],
-                shape_name=data["shape_name"],
-                key_fingerprint=data["key_fingerprint"],
-                queries=[WatermarkQuery.from_dict(q)
-                         for q in data["queries"]],
-                tenant=data.get("tenant"),
-                key_id=data.get("key_id"),
+                gamma=_field(data, "gamma", int, 1),
+                nbits=nbits,
+                shape_name=_field(data, "shape_name", str),
+                key_fingerprint=_field(data, "key_fingerprint", str),
+                queries=[WatermarkQuery.from_dict(q, nbits)
+                         for q in _field(data, "queries", list)],
+                tenant=_field(data, "tenant", str, optional=True),
+                key_id=_field(data, "key_id", int, 1, optional=True),
             )
         except RecordFormatError:
             raise

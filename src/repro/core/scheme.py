@@ -99,7 +99,8 @@ class WatermarkingScheme(VersionedDocument):
             )
         except SchemeFormatError:
             raise
-        except (KeyError, TypeError, ValueError, WmXMLError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                WmXMLError) as error:
             # Everything a malformed document can trip — missing keys,
             # wrong value shapes, and the scheme's own eager semantic
             # validation (RecordError, AlgorithmError...) — surfaces as

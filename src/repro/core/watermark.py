@@ -20,7 +20,19 @@ from typing import Optional, Sequence
 
 from scipy import stats
 
-from repro.errors import WatermarkDecodeError
+from repro.errors import WatermarkDecodeError, WatermarkMessageError
+
+#: The longest watermark in bits: a 1 KiB UTF-8 message.  Embedding
+#: refuses a longer one and record parsing refuses a larger ``nbits``,
+#: so the system never issues a record it would later refuse.
+MAX_WATERMARK_BITS = 8 * 1024
+
+
+def _check_length(nbits: int) -> None:
+    if nbits > MAX_WATERMARK_BITS:
+        raise WatermarkMessageError(
+            f"a watermark of {nbits} bits exceeds the "
+            f"{MAX_WATERMARK_BITS}-bit ceiling")
 
 
 class Watermark:
@@ -30,18 +42,22 @@ class Watermark:
 
     def __init__(self, bits: Sequence[int]) -> None:
         if not bits:
-            raise ValueError("watermark must contain at least one bit")
+            raise WatermarkMessageError(
+                "watermark must contain at least one bit")
+        _check_length(len(bits))
         if any(bit not in (0, 1) for bit in bits):
-            raise ValueError("watermark bits must be 0 or 1")
+            raise WatermarkMessageError("watermark bits must be 0 or 1")
         self.bits: tuple[int, ...] = tuple(bits)
 
     @classmethod
     def from_message(cls, message: str) -> "Watermark":
         """Encode a text message as its UTF-8 bits (MSB first)."""
         if not message:
-            raise ValueError("message must not be empty")
+            raise WatermarkMessageError("message must not be empty")
+        data = message.encode("utf-8")
+        _check_length(8 * len(data))
         bits: list[int] = []
-        for byte in message.encode("utf-8"):
+        for byte in data:
             for position in range(7, -1, -1):
                 bits.append((byte >> position) & 1)
         return cls(bits)
@@ -165,7 +181,9 @@ def bit_error_rate(
     present them as evidence.
     """
     if len(recovered) != len(expected):
-        raise ValueError("length mismatch")
+        raise WatermarkMessageError(
+            f"length mismatch: {len(recovered)} recovered bits, "
+            f"{len(expected)} expected")
     errors = sum(
         1 for got, want in zip(recovered, expected.bits) if got != want)
     return errors / len(expected)

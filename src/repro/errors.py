@@ -87,11 +87,19 @@ class WatermarkDecodeError(WmXMLError, ValueError):
     code = "watermark-decode"
 
 
+class WatermarkMessageError(WmXMLError, ValueError):
+    """A watermark message is empty, too long, or not the length its
+    record was embedded with."""
+
+    code = "bad-message"
+
+
 #: The one code -> HTTP status table, shared by the service's error
 #: envelopes and the CLI's ``--result`` JSON.  Codes declared by other
-#: layers (xmlmodel, xpath, semantics, core, perf, service) appear here
-#: too, so the whole mapping is auditable in one place; the test suite
-#: asserts every WmXMLError subclass's code has an entry.
+#: layers (xmlmodel, xpath, semantics, core, service, registry, tenants,
+#: faults) appear here too, so the whole mapping is auditable in one
+#: place; the test suite asserts every WmXMLError subclass's code has an
+#: entry.
 HTTP_STATUS_BY_CODE: dict[str, int] = {
     # root / artefacts
     "internal-error": 500,
@@ -100,6 +108,7 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     "bad-record": 400,
     "unknown-scheme": 404,
     "watermark-decode": 422,
+    "bad-message": 400,
     # repro.xmlmodel — the suspect document itself is bad input
     "xml-error": 400,
     "xml-syntax": 400,
@@ -118,8 +127,6 @@ HTTP_STATUS_BY_CODE: dict[str, int] = {
     "record-mismatch": 422,
     # repro.core
     "algorithm-error": 400,
-    # repro.perf
-    "bench-error": 500,
     # repro.service — request-level protocol errors
     "service-error": 500,
     "malformed-request": 400,

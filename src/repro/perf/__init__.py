@@ -10,15 +10,12 @@ allows"; this package is how that is *measured* rather than assumed:
   active-timer stack that let library internals report stages without
   threading a timer argument everywhere;
 * :mod:`repro.perf.reporter` — :class:`ThroughputReporter`, which turns
-  raw stage timings plus work counts into elements/sec and queries/sec;
-* :mod:`repro.perf.bench` — the E9 regression bench: runs the pipeline
-  stages, archives results to ``BENCH_e9.json``, and fails when a stage
-  regresses more than 20% against the best recorded run.
+  raw stage timings plus work counts into elements/sec and queries/sec.
 
-``repro.perf.bench`` is deliberately *not* imported here: core modules
-use ``@profiled`` on their hot paths, so this package ``__init__`` must
-stay importable from below the core layer (bench imports the encoder,
-which would close an import cycle).
+Regression measurement lives in the repository's ``perfbench/``
+benchmark, which times the program end to end and layer by layer.  This
+package stays importable from below the core layer, because core
+modules use ``@profiled`` on their hot paths.
 """
 
 from repro.perf.profiler import active_timer, profiled, use_timer

@@ -3,8 +3,7 @@
 The E9 experiment (and the paper's §3 performance discussion) talks in
 throughput — elements marked per second, queries answered per second —
 not raw milliseconds.  :class:`ThroughputReporter` owns that conversion
-so the CLI, the bench harness, and the experiment tables all derive
-rates the same way.
+so the CLI and the experiment tables derive rates the same way.
 """
 
 from __future__ import annotations

@@ -52,10 +52,16 @@ class LogicalQuery:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LogicalQuery":
-        return cls(
-            data["target"],
-            tuple((name, value) for name, value in data["conditions"]),
-        )
+        target = data["target"]
+        conditions = []
+        for name, value in data["conditions"]:
+            if not (isinstance(name, str) and isinstance(value, str)):
+                raise TypeError("a logical query's conditions must pair "
+                                "string names with string values")
+            conditions.append((name, value))
+        if not isinstance(target, str):
+            raise TypeError("a logical query's target must be a string")
+        return cls(target, tuple(conditions))
 
     def __str__(self) -> str:
         conds = " and ".join(f"{n}={v!r}" for n, v in self.conditions)

@@ -21,9 +21,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.errors import SchemeFormatError
 from repro.semantics.errors import RecordError
 from repro.semantics.records import Row
 from repro.xmlmodel.tree import Document, Element
+
+
+def require_name(value, what: str) -> str:
+    """``value`` if it is a string: a shape names tags and fields only
+    by strings, and anything else would fail at the first shred."""
+    if not isinstance(value, str):
+        raise SchemeFormatError(
+            f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _name_pairs(entries, what: str) -> tuple[tuple[str, str], ...]:
+    return tuple((require_name(name, what), require_name(field_name, what))
+                 for name, field_name in entries)
 
 
 @dataclass(frozen=True)
@@ -70,16 +85,16 @@ class LevelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LevelSpec":
+        text_field = data.get("text_field")
         return cls(
-            tag=data["tag"],
-            group_by=tuple(data["group_by"]),
-            attributes=tuple(
-                (name, field_name)
-                for name, field_name in data.get("attributes", ())),
-            leaves=tuple(
-                (tag, field_name)
-                for tag, field_name in data.get("leaves", ())),
-            text_field=data.get("text_field"),
+            tag=require_name(data["tag"], "level tag"),
+            group_by=tuple(require_name(name, "group_by field")
+                           for name in data["group_by"]),
+            attributes=_name_pairs(data.get("attributes", ()),
+                                   "attribute name"),
+            leaves=_name_pairs(data.get("leaves", ()), "leaf name"),
+            text_field=(None if text_field is None
+                        else require_name(text_field, "text_field")),
         )
 
 
@@ -120,7 +135,7 @@ class NestingSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "NestingSpec":
         return cls(
-            root=data["root"],
+            root=require_name(data["root"], "root tag"),
             levels=tuple(LevelSpec.from_dict(entry)
                          for entry in data["levels"]),
         )

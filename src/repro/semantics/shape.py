@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 from repro.perf.profiler import profiled
 from repro.semantics.errors import RecordError
-from repro.semantics.nesting import LevelSpec, NestingSpec
+from repro.semantics.nesting import LevelSpec, NestingSpec, require_name
 from repro.semantics.records import FieldSpec, RecordSpec, Row
 from repro.xmlmodel.tree import Document, Element, Text
 from repro.xpath.values import AttributeNode, NodeLike
@@ -211,7 +211,8 @@ class DocumentShape:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DocumentShape":
-        return cls(data["name"], NestingSpec.from_dict(data["nesting"]))
+        return cls(require_name(data["name"], "shape name"),
+                   NestingSpec.from_dict(data["nesting"]))
 
     def __repr__(self) -> str:
         chain = "/".join((self.nesting.root,) + self.level_tags())

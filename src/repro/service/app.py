@@ -1031,9 +1031,9 @@ def make_server(service: WmXMLService, host: str = "127.0.0.1",
     """A ready-to-run threading HTTP server bound to ``host:port``.
 
     ``port=0`` binds an ephemeral port (read it back from
-    ``server.server_address[1]``) — what tests and the loopback bench
-    stage use.  Call ``server.serve_forever()`` to run and
-    ``server.shutdown()`` (from another thread) to stop.
+    ``server.server_address[1]``) — what tests use.  Call
+    ``server.serve_forever()`` to run and ``server.shutdown()`` (from
+    another thread) to stop.
     """
     handler = type("WmXMLHandler", (_Handler,),
                    {"service": service, "quiet": quiet})
@@ -1050,11 +1050,11 @@ def running_server(service: WmXMLService, host: str = "127.0.0.1",
 
     The one start/stop choreography (serve on a thread, ``shutdown()``
     to stop accepting, **drain in-flight requests**, then
-    ``server_close()`` and join) shared by the CLI, the bench's
-    loopback stage and the tests — yields the bound server so callers
-    read ``server.server_address``.  The drain step is what makes
-    SIGTERM graceful: a request being served when shutdown starts
-    still gets its response before the socket closes.
+    ``server_close()`` and join) shared by the CLI and the tests —
+    yields the bound server so callers read ``server.server_address``.
+    The drain step is what makes SIGTERM graceful: a request being
+    served when shutdown starts still gets its response before the
+    socket closes.
     """
     server = make_server(service, host=host, port=port, quiet=quiet)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -73,7 +73,7 @@ def _serialize_node(node: Node, parts: list[str]) -> None:
 
 
 def _serialize_element(element: Element, parts: list[str]) -> None:
-    # Hot path of ``serialize`` (the E9 bench's ``serialize_ms`` stage).
+    # Hot path of ``serialize`` (the benchmark's ``xmlmodel.serialize_ms``).
     # Escaping stays on the chained-``str.replace`` form deliberately:
     # clean strings (the overwhelming majority in data-centric XML)
     # pass through as the *same* object after a few C-level scans,

@@ -13,7 +13,6 @@ from repro.core.algorithms import AlgorithmError, create_algorithm
 from repro.core.watermark import Watermark
 from repro.datasets import bibliography
 from repro.errors import WmXMLError
-from repro.perf.bench import BenchError
 from repro.semantics.errors import (
     ConstraintError,
     RecordError,
@@ -28,7 +27,6 @@ from repro.xpath.errors import XPathError, XPathSyntaxError
 #: Every public error class must descend from the one base.
 PUBLIC_ERRORS = [
     AlgorithmError,
-    BenchError,
     ConstraintError,
     RecordError,
     SchemaError,
@@ -43,6 +41,7 @@ PUBLIC_ERRORS = [
     api.SerializationError,
     api.UnknownSchemeError,
     api.WatermarkDecodeError,
+    api.WatermarkMessageError,
 ]
 
 
@@ -109,16 +108,16 @@ class TestLegacyCatchStylesStillWork:
     def test_builtin_bases_kept_for_dual_parented_errors(self):
         assert issubclass(api.SerializationError, ValueError)
         assert issubclass(api.UnknownSchemeError, KeyError)
-        assert issubclass(BenchError, RuntimeError)
         assert issubclass(api.WatermarkDecodeError, ValueError)
+        assert issubclass(api.WatermarkMessageError, ValueError)
 
 
 def _all_error_classes() -> list[type]:
     """Every WmXMLError subclass defined anywhere in the system.
 
-    Importing ``repro.api``, ``repro.service`` and ``repro.perf.bench``
-    (done at module top) loads every layer that declares errors; the
-    recursive subclass walk then finds the complete hierarchy.
+    Importing ``repro.api`` and ``repro.service`` loads every layer that
+    declares errors; the recursive subclass walk then finds the complete
+    hierarchy.
     """
     import repro.service  # noqa: F401 - registers the service errors
 

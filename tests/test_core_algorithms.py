@@ -121,8 +121,9 @@ class TestNumeric:
         assert len(fraction) == 2
 
     def test_invalid_params(self):
-        with pytest.raises(AlgorithmError):
-            create_algorithm("numeric", {"fraction_digits": -1})
+        for digits in (-1, 1.5, True):
+            with pytest.raises(AlgorithmError):
+                create_algorithm("numeric", {"fraction_digits": digits})
 
 
 class TestCategorical:
@@ -165,6 +166,8 @@ class TestCategorical:
             create_algorithm("categorical", {"domain": ["solo"]})
         with pytest.raises(AlgorithmError):
             create_algorithm("categorical", {"domain": ["a", "a"]})
+        with pytest.raises(AlgorithmError):
+            create_algorithm("categorical", {"domain": ["a", 1]})
 
     def test_distortion(self):
         algo = create_algorithm("categorical", {"domain": self.DOMAIN})

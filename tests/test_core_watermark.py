@@ -8,6 +8,8 @@ from repro.core import (
     binomial_pvalue,
     bit_error_rate,
 )
+from repro.core.watermark import MAX_WATERMARK_BITS
+from repro.errors import WatermarkMessageError
 
 
 class TestWatermark:
@@ -28,6 +30,13 @@ class TestWatermark:
             Watermark([])
         with pytest.raises(ValueError):
             Watermark.from_message("")
+
+    def test_length_is_capped(self):
+        assert len(Watermark([1] * MAX_WATERMARK_BITS)) == MAX_WATERMARK_BITS
+        with pytest.raises(WatermarkMessageError):
+            Watermark([1] * (MAX_WATERMARK_BITS + 1))
+        with pytest.raises(WatermarkMessageError):
+            Watermark.from_message("x" * (MAX_WATERMARK_BITS // 8 + 1))
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):

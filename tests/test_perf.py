@@ -1,6 +1,4 @@
-"""Tests for the perf subsystem: timers, profiler, reporter, bench."""
-
-import json
+"""Tests for the perf subsystem: timers, profiler, reporter."""
 
 import pytest
 
@@ -10,14 +8,6 @@ from repro.perf import (
     active_timer,
     profiled,
     use_timer,
-)
-from repro.perf.bench import (
-    REGRESSION_THRESHOLD,
-    best_for_host,
-    check_regression,
-    load_history,
-    run_e9_bench,
-    save_run,
 )
 
 
@@ -127,126 +117,3 @@ class TestThroughputReporter:
         assert line is not None and line.rate == pytest.approx(200.0)
         assert reporter.add_from_timer(timer, "absent", 100) is None
 
-
-class TestRegressionGate:
-    def test_regression_detected_beyond_threshold(self):
-        best = {"embed_ms": 10.0}
-        slow = {"embed_ms": 10.0 * REGRESSION_THRESHOLD * 1.1}
-        failures = check_regression(slow, best)
-        assert len(failures) == 1
-        assert "embed_ms" in failures[0]
-
-    def test_within_threshold_passes(self):
-        best = {"embed_ms": 10.0, "detect_scan_ms": 50.0}
-        current = {"embed_ms": 11.5, "detect_scan_ms": 40.0}
-        assert check_regression(current, best) == []
-
-    def test_unknown_stage_is_not_gated(self):
-        assert check_regression({"new_stage_ms": 100.0}, {}) == []
-
-    def test_history_roundtrip_and_best_only_decreases(self, tmp_path):
-        path = str(tmp_path / "BENCH_e9.json")
-        assert load_history(path)["runs"] == []
-        save_run(path, {"books": 10, "stages": {"embed_ms": 20.0}})
-        save_run(path, {"books": 10, "stages": {"embed_ms": 30.0}})
-        save_run(path, {"books": 10, "stages": {"embed_ms": 15.0}})
-        history = load_history(path)
-        assert len(history["runs"]) == 3
-        assert best_for_host(history)["embed_ms"] == pytest.approx(15.0)
-        assert all("timestamp" in run for run in history["runs"])
-        assert all("host" in run for run in history["runs"])
-
-    def test_best_is_kept_per_host(self, tmp_path):
-        path = str(tmp_path / "BENCH_e9.json")
-        save_run(path, {"books": 10, "host": "machine-a",
-                        "stages": {"embed_ms": 10.0}})
-        save_run(path, {"books": 10, "host": "machine-b",
-                        "stages": {"embed_ms": 40.0}})
-        history = load_history(path)
-        assert best_for_host(history, "machine-a")["embed_ms"] == 10.0
-        assert best_for_host(history, "machine-b")["embed_ms"] == 40.0
-        # A host with no recorded baseline gates against nothing.
-        assert best_for_host(history, "machine-c") == {}
-
-    def test_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "other"}))
-        with pytest.raises(ValueError):
-            load_history(str(path))
-
-
-class TestBenchRun:
-    def test_small_bench_produces_all_stages(self):
-        run = run_e9_bench(books=10, repeats=1, processes=0)
-        assert run["books"] == 10
-        assert run["elements"] > 0 and run["queries"] > 0
-        for stage in ("parse_ms", "serialize_ms", "shred_ms", "embed_ms",
-                      "detect_scan_ms", "detect_indexed_ms",
-                      "api_embed_many_ms", "api_detect_many_ms",
-                      "api_embed_many_xml_ms", "api_detect_many_xml_ms",
-                      "parse_many_ms"):
-            assert run["stages"][stage] > 0
-        # processes=0 skips the pooled stages entirely.
-        assert not any(name.startswith("api_embed_many_p")
-                       for name in run["stages"])
-
-    def test_bench_records_api_batch_throughput(self):
-        from repro.perf.bench import BATCH_DOCS
-
-        run = run_e9_bench(books=10, repeats=1, processes=0)
-        assert run["batch_docs"] == BATCH_DOCS
-        docs_per_s = run["throughput"]["api_embed_many_docs_per_s"]
-        assert docs_per_s == pytest.approx(
-            BATCH_DOCS / (run["stages"]["api_embed_many_ms"] / 1000.0))
-        detect_docs_per_s = run["throughput"]["api_detect_many_docs_per_s"]
-        assert detect_docs_per_s == pytest.approx(
-            BATCH_DOCS / (run["stages"]["api_detect_many_ms"] / 1000.0))
-        parse_docs_per_s = run["throughput"]["parse_many_docs_per_s"]
-        assert parse_docs_per_s == pytest.approx(
-            BATCH_DOCS / (run["stages"]["parse_many_ms"] / 1000.0))
-
-    def test_bench_parallel_stages_record_speedup(self):
-        # The pooled stages are asserted bit-identical against the
-        # serial batch inside run_e9_bench itself; here we check the
-        # bookkeeping (stage names keyed by worker count + speedup
-        # ratios derived from the recorded stages).
-        run = run_e9_bench(books=10, repeats=1, processes=2)
-        assert run["processes"] == 2
-        assert run["stages"]["api_embed_many_p2_ms"] > 0
-        assert run["stages"]["api_detect_many_p2_ms"] > 0
-        throughput = run["throughput"]
-        assert throughput["parallel_embed_speedup"] == pytest.approx(
-            run["stages"]["api_embed_many_xml_ms"]
-            / run["stages"]["api_embed_many_p2_ms"])
-        assert throughput["parallel_detect_speedup"] == pytest.approx(
-            run["stages"]["api_detect_many_xml_ms"]
-            / run["stages"]["api_detect_many_p2_ms"])
-
-    def test_smoke_mode_measures_without_archiving(self, tmp_path, capsys):
-        from repro.perf import bench
-
-        path = str(tmp_path / "BENCH_e9.json")
-        assert bench.main(["--books", "10", "--smoke",
-                           "--output", path, "--processes", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "smoke mode: archive not written" in out
-        assert "api.embed_many throughput" in out
-        assert not (tmp_path / "BENCH_e9.json").exists()
-
-    def test_run_and_check_cli_roundtrip(self, tmp_path, capsys):
-        from repro.perf import bench
-
-        path = str(tmp_path / "BENCH_e9.json")
-        assert bench.main(["--books", "10", "--repeats", "1",
-                           "--output", path, "--processes", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "archived to" in out
-        # Second run gates against the first; a same-machine rerun of a
-        # tiny bench should stay within the 20% window nearly always,
-        # but we only assert the workflow (exit code semantics) with
-        # check disabled to keep the test timing-independent.
-        assert bench.main(["--books", "10", "--repeats", "1",
-                           "--output", path, "--no-check",
-                           "--processes", "0"]) == 0
-        history = load_history(path)
-        assert len(history["runs"]) == 2

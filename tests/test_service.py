@@ -28,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import Pipeline, WmXMLSystem
+from repro.core.watermark import MAX_WATERMARK_BITS
 from repro.datasets import bibliography
 from repro.errors import WmXMLError
 from repro.service import (
@@ -41,6 +42,7 @@ from repro.service import (
     WmXMLService,
     running_server,
 )
+from repro.tenants import TenantDirectory, TenantsConfig
 from repro.xmlmodel import serialize
 
 KEY = "golden-key-bib"
@@ -314,6 +316,126 @@ class TestDispatchProtocol:
         assert payload["error"]["code"] == "internal-error"
         assert "RuntimeError" in payload["error"]["message"]
         assert headers[PROTOCOL_HEADER] == RESPONSE_FORMAT
+
+
+def _detect_request(record_edit=None, query_edit=None, **fields):
+    """A detect of the marked copy, its record edited on the way out."""
+    def build(marked):
+        record = dict(marked["record"], **(record_edit or {}))
+        if query_edit:
+            record["queries"] = [dict(query, **query_edit)
+                                 for query in record["queries"]]
+        return "POST", "/v1/detect", _request_body(
+            scheme="books", document=marked["xml"], record=record,
+            **fields)
+    return build
+
+
+def _embed_request(message="hi", scheme="books"):
+    def build(marked):
+        return "POST", "/v1/embed", _request_body(
+            scheme=scheme, document=marked["xml"], message=message)
+    return build
+
+
+def _scheme_with(price_params=None, **level_edit) -> dict:
+    """The book scheme with fields of its first shape level, or the
+    price carrier's params, replaced."""
+    scheme = bibliography.default_scheme(2).to_dict()
+    scheme["shape"]["nesting"]["levels"][0].update(level_edit)
+    if price_params is not None:
+        [price] = [carrier for carrier in scheme["carriers"]
+                   if carrier["field"] == "price"]
+        price["params"] = price_params
+    return scheme
+
+
+def _put_scheme(**edit):
+    def build(marked):
+        return "PUT", "/v1/schemes/broken", json.dumps(
+            _scheme_with(**edit)).encode()
+    return build
+
+
+#: Client-controlled input that once reached the 500 ``internal-error``
+#: envelope (or, for a huge ``nbits``, ran the daemon out of memory):
+#: (id, request builder, the 4xx slug it must answer).
+BAD_CLIENT_INPUT = [
+    *[(f"record-gamma-{value!r}", _detect_request({"gamma": value}),
+       "bad-record") for value in ("x", None, [], {}, -1)],
+    *[(f"record-nbits-{value!r}", _detect_request({"nbits": value}),
+       "bad-record") for value in ("x", None, [], {}, -1, 1.5)],
+    ("record-nbits-1e9", _detect_request({"nbits": 10 ** 9}),
+     "bad-record"),
+    *[(f"record-identity-{value!r}",
+       _detect_request(query_edit={"identity": value}), "bad-record")
+      for value in (1, None, [])],
+    *[(f"record-algorithm-{value!r}",
+       _detect_request(query_edit={"algorithm": value}), "bad-record")
+      for value in (1, None, {})],
+    *[(f"record-key_id-{value!r}", _detect_request({"key_id": value}),
+       "bad-record") for value in ([], {}, True)],
+    ("embed-empty-message", _embed_request(message=""), "bad-message"),
+    ("embed-message-over-the-cap",
+     _embed_request(message="x" * (MAX_WATERMARK_BITS // 8 + 1)),
+     "bad-message"),
+    ("detect-empty-expected", _detect_request(expected=""),
+     "bad-message"),
+    ("detect-expected-of-another-length", _detect_request(expected="x"),
+     "bad-message"),
+    ("put-scheme-tag-list", _put_scheme(tag=[]), "bad-scheme"),
+    ("put-scheme-tag-object", _put_scheme(tag={}), "bad-scheme"),
+    ("put-scheme-attribute-name",
+     _put_scheme(attributes=[[[], "publisher"]]), "bad-scheme"),
+    ("put-scheme-leaf-name", _put_scheme(leaves=[[{}, "title"]]),
+     "bad-scheme"),
+    ("put-scheme-fraction-digits-float",
+     _put_scheme(price_params=[["fraction_digits", 1.5]]), "bad-scheme"),
+    ("inline-scheme-tag", _embed_request(scheme=_scheme_with(tag=[])),
+     "bad-scheme"),
+]
+
+
+@pytest.fixture(scope="module", params=["single-key", "tenants"])
+def any_mode(request, golden_text):
+    """``(service, headers, marked)`` in each service mode, where
+    ``marked`` is the embed payload of the golden document under "hi"."""
+    scheme = bibliography.default_scheme(2)
+    if request.param == "single-key":
+        system = WmXMLSystem(KEY)
+        system.register("books", scheme)
+        service, headers = WmXMLService(system), {}
+    else:
+        directory = TenantDirectory(TenantsConfig.from_dict({
+            "format": "wmxml-tenants-v1", "keys": {"1": KEY},
+            "tenants": {"acme": {}}}))
+        directory.register_all("books", scheme)
+        service = WmXMLService(tenants=directory)
+        headers = {"Authorization":
+                   f"Bearer {directory.mint_token('acme')}"}
+    status, payload, _ = service.dispatch(
+        "POST", "/v1/embed",
+        _request_body(scheme="books", document=golden_text, message="hi"),
+        headers)
+    assert status == 200
+    return service, headers, payload
+
+
+class TestClientInputIsNeverAServerFault:
+    @pytest.mark.parametrize(
+        "build,code", [row[1:] for row in BAD_CLIENT_INPUT],
+        ids=[row[0] for row in BAD_CLIENT_INPUT])
+    def test_bad_input_answers_its_4xx_slug(self, any_mode, build, code):
+        service, headers, marked = any_mode
+        method, path, body = build(marked)
+        start = time.perf_counter()
+        status, payload, _ = service.dispatch(method, path, body, headers)
+        assert time.perf_counter() - start < 1.0
+        assert payload["error"]["code"] == code != "internal-error"
+        assert status == 400
+        _, listing, _ = service.dispatch("GET", "/v1/schemes", b"",
+                                         headers)
+        assert "broken" not in listing["schemes"]
 
 
 class TestGoldenVectorsThroughHTTP:
