@@ -1,10 +1,11 @@
 """Chaos smoke: every fault point against a real ``wmxml serve`` daemon.
 
 The CI leg for the resilience subsystem.  For each registered fault
-point it starts a **real daemon subprocess** armed through the
-``WMXML_FAULTS`` environment variable (the production arming path —
-the fault state is inside the daemon process, not the test), fires a
-request mix over the wire, and asserts the system-level invariants:
+point it starts a **real** ``wmxml serve --registry`` **daemon
+subprocess** armed through the ``WMXML_FAULTS`` environment variable
+(the production arming path — the fault state is inside the daemon
+process, not the test), fires a request mix over the wire, and asserts
+the system-level invariants:
 
 * every request completes — a clean envelope or a result, never a hang;
 * the daemon survives the fault and answers ``/v1/healthz``;

@@ -3,9 +3,10 @@
 The CI leg for the daemon.  It exercises exactly what a deployment
 does: start ``wmxml serve`` as its own process, wait for it through the
 client's connection-refused retry loop, run an embed/detect round-trip
-plus a pooled batch over loopback HTTP, read ``/v1/healthz`` and
-``/v1/stats``, then SIGTERM the daemon and assert it exits 0.  The
-other smoke scripts import their daemon start/stop plumbing from here.
+plus a pooled batch through ``WmXMLClient`` over loopback HTTP, read
+``/v1/healthz`` and ``/v1/stats``, then SIGTERM the daemon and assert
+it exits 0.  The other smoke scripts import their daemon start/stop
+plumbing from here.
 
 Run from the repo root::
 

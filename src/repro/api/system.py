@@ -127,10 +127,6 @@ class WmXMLSystem:
         """Register a deployment from a ``scheme.json`` artefact."""
         return self.register(name, WatermarkingScheme.load(path))
 
-    # ``add_scheme`` is the service-facing spelling of ``register``:
-    # the daemon's ``PUT /v1/schemes/{name}`` maps straight onto it.
-    add_scheme = register
-
     def scheme(self, name: str) -> WatermarkingScheme:
         with self._lock:
             try:
@@ -331,17 +327,21 @@ class WmXMLSystem:
             return BITS_PREFIX + "".join(str(bit) for bit in message.bits)
         return message
 
-    def _stamp(self, record: WatermarkRecord) -> None:
-        """Mark a fresh record with this system's tenancy identity.
+    def tenancy(self) -> dict:
+        """This system's tenancy identity: its set ``tenant``/``key_id``.
 
-        Single-key systems (``tenant``/``key_id`` both ``None``) leave
-        the record untouched, so their serialized form — and every
-        golden vector — stays byte-identical.
+        Empty for a single-key system (both ``None``), so the records it
+        stamps and the service replies carrying the stamp stay
+        byte-identical to the golden vectors.
         """
-        if self.tenant is not None:
-            record.tenant = self.tenant
-        if self.key_id is not None:
-            record.key_id = self.key_id
+        return {name: value for name, value in (("tenant", self.tenant),
+                                                ("key_id", self.key_id))
+                if value is not None}
+
+    def _stamp(self, record: WatermarkRecord) -> None:
+        """Mark a fresh record with this system's :meth:`tenancy`."""
+        for name, value in self.tenancy().items():
+            setattr(record, name, value)
 
     def _record_embed(self, recipient: str, keying: str,
                       scheme_fingerprint: str, pipeline: Pipeline,
@@ -457,13 +457,11 @@ class WmXMLSystem:
         p-value; ties keep the earlier record).  ``recipients``
         restricts the sweep and must name known identities.
         """
-        registry = self._require_registry()
-        entries = registry.records(
+        entries = self._require_registry().records(
             scheme_fingerprint=self.scheme_fingerprint(scheme))
         return sweep_trace(
-            only_recipients(entries, recipients, registry.recipients),
-            document, scheme, lambda entry: self, shape=shape,
-            strategy=strategy)
+            only_recipients(entries, recipients), document, scheme,
+            lambda entry: self, shape=shape, strategy=strategy)
 
     def detect_recorded(self, scheme: SchemeLike, document: Document,
                         recipient: str,
@@ -564,20 +562,21 @@ def recorded_message(entry: RegistryRecord) -> MessageLike:
 
 
 def only_recipients(entries: list[RegistryRecord],
-                    recipients: Optional[Iterable[str]],
-                    known: Callable[[], list[str]]) -> list[RegistryRecord]:
+                    recipients: Optional[Iterable[str]]
+                    ) -> list[RegistryRecord]:
     """``entries`` restricted to ``recipients`` (all when ``None``).
 
     Every wanted recipient must have a record among ``entries``;
     otherwise :class:`UnknownRecipientError` names the first missing
-    one, listing ``known()`` as the identities there are.
+    one, listing the recipients of ``entries`` as those there are.
     """
     if recipients is None:
         return entries
     wanted = set(recipients)
-    missing = wanted - {entry.recipient for entry in entries}
+    known = {entry.recipient for entry in entries}
+    missing = wanted - known
     if missing:
-        raise UnknownRecipientError(sorted(missing)[0], known=known())
+        raise UnknownRecipientError(sorted(missing)[0], known=known)
     return [entry for entry in entries if entry.recipient in wanted]
 
 

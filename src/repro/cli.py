@@ -550,46 +550,60 @@ def _scheme_spec(spec: str) -> tuple[str, str]:
 
 
 def build_service(args: argparse.Namespace):
-    """The configured service for ``wmxml serve`` (separate for tests)."""
+    """The configured service for ``wmxml serve`` (separate for tests).
+
+    ``--key`` serves one open namespace, ``--tenants`` one namespace
+    per tenant, each under its own derived key; past that choice the
+    two build the same way.  ``--scheme`` files are offered to every
+    namespace (each compiles them under its own key).
+    """
     from repro.service import WmXMLService
+    from repro.tenants import TenantDirectory
 
     tenants_path = getattr(args, "tenants", None)
     if (getattr(args, "key", None) is None) == (tenants_path is None):
         raise SystemExit(
             "pass exactly one of --key (single-tenant) or "
             "--tenants tenants.json (multi-tenant)")
-    if tenants_path is not None:
-        return _build_tenant_service(args, tenants_path)
-    system = WmXMLSystem(args.key, alpha=args.alpha,
-                         registry=_registry_for(args),
-                         issuer=getattr(args, "issuer", None) or "wmxml")
+    issuer = getattr(args, "issuer", None) or "wmxml"
+    if tenants_path is None:
+        directory = TenantDirectory.single(WmXMLSystem(
+            args.key, alpha=args.alpha, registry=_registry_for(args),
+            issuer=issuer))
+    else:
+        directory = TenantDirectory(
+            _tenants_config(tenants_path), registry=_registry_for(args),
+            alpha=args.alpha, issuer=issuer)
+    loaded: set[str] = set()
     for spec in args.scheme_files:
         name, path = _scheme_spec(spec)
-        if name in system.scheme_names():
+        if name in loaded:
             # register() has replace semantics; silently serving only
             # the last of two same-named deployments would make every
             # detect run against the wrong query set.
             raise SystemExit(
                 f"duplicate scheme name {name!r} (from {spec!r}); "
                 "disambiguate with NAME=path")
+        loaded.add(name)
         try:
-            system.register_file(name, path)
+            directory.register_all(name, WatermarkingScheme.load(path))
         except OSError as error:
             raise SystemExit(f"cannot read scheme {path!r}: {error}")
         except WmXMLError as error:
             raise SystemExit(f"bad scheme {path!r}: {error}")
-    # Reopen-after-crash recovery, run *after* the system attached its
-    # sealing key so a torn trailing pair with a bad seal is caught
-    # too; the report surfaces in the serve banner.  Storage being
-    # dark at boot must not stop the daemon — embed/detect still
-    # serve, so it starts in degraded mode instead of crashing.
+    # Reopen-after-crash recovery, run *after* the sealing key is
+    # attached so a torn trailing pair with a bad seal is caught too;
+    # the report surfaces in the serve banner.  Storage being dark at
+    # boot must not stop the daemon — embed/detect still serve, so it
+    # starts in degraded mode instead of crashing.
+    registry = directory.registry
     boot_degraded = False
-    if system.registry is not None:
+    if registry is not None:
         try:
-            system.registry.last_recovery = system.registry.recover()
+            registry.last_recovery = registry.recover()
         except RegistryUnavailableError:
             boot_degraded = True
-    service = WmXMLService(system, processes=args.processes,
+    service = WmXMLService(tenants=directory, processes=args.processes,
                            **_service_limits(args))
     if boot_degraded:
         service._degraded = True
@@ -611,63 +625,21 @@ def _service_limits(args: argparse.Namespace) -> dict:
     }
 
 
-def _build_tenant_service(args: argparse.Namespace, tenants_path: str):
-    """The multi-tenant daemon: one tenants.json, many key namespaces.
-
-    ``--scheme`` files are offered to every tenant (each compiles them
-    under its own derived key); the shared registry gets the key map's
-    rotation-stable sealer and the same reopen-after-crash recovery as
-    the single-tenant path.
-    """
-    from repro.service import WmXMLService
-    from repro.tenants import (TenantConfigError, TenantDirectory,
-                               TenantsConfig)
+def _tenants_config(path: str):
+    """The parsed tenants file; a bad one ends the command in one line."""
+    from repro.tenants import TenantConfigError, TenantsConfig
 
     try:
-        config = TenantsConfig.load(tenants_path)
+        return TenantsConfig.load(path)
     except TenantConfigError as error:
-        raise SystemExit(f"bad tenants file {tenants_path!r}: {error}")
-    registry = _registry_for(args)
-    directory = TenantDirectory(
-        config, registry=registry, alpha=args.alpha,
-        issuer=getattr(args, "issuer", None) or "wmxml")
-    loaded: set[str] = set()
-    for spec in args.scheme_files:
-        name, path = _scheme_spec(spec)
-        if name in loaded:
-            raise SystemExit(
-                f"duplicate scheme name {name!r} (from {spec!r}); "
-                "disambiguate with NAME=path")
-        loaded.add(name)
-        try:
-            directory.register_all(name, WatermarkingScheme.load(path))
-        except OSError as error:
-            raise SystemExit(f"cannot read scheme {path!r}: {error}")
-        except WmXMLError as error:
-            raise SystemExit(f"bad scheme {path!r}: {error}")
-    boot_degraded = False
-    if registry is not None:
-        try:
-            registry.last_recovery = registry.recover()
-        except RegistryUnavailableError:
-            boot_degraded = True
-    service = WmXMLService(tenants=directory, processes=args.processes,
-                           **_service_limits(args))
-    if boot_degraded:
-        service._degraded = True
-    return service
+        raise SystemExit(f"bad tenants file {path!r}: {error}")
 
 
 def cmd_token(args: argparse.Namespace) -> int:
     """Mint or verify bearer tokens against a tenants file."""
-    from repro.tenants import (TenantConfigError, TenantDirectory,
-                               TenantsConfig, UnauthorizedError)
+    from repro.tenants import TenantDirectory, UnauthorizedError
 
-    try:
-        config = TenantsConfig.load(args.tenants)
-    except TenantConfigError as error:
-        raise SystemExit(f"bad tenants file {args.tenants!r}: {error}")
-    directory = TenantDirectory(config)
+    directory = TenantDirectory(_tenants_config(args.tenants))
     if args.token_command == "mint":
         try:
             token = directory.mint_token(
@@ -714,20 +686,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                             drain_timeout=args.drain_timeout) as server:
             bound = True
             host, port = server.server_address[:2]
-            if service.tenants is not None:
-                # register_all gives every tenant the same boot-time
-                # schemes, so any tenant's namespace names them all.
-                first = service.tenants.tenant_names()[0]
-                names = ", ".join(
-                    service.tenants.scheme_names(first)) or "(none)"
-                registry = service.tenants.registry
-                tenant_note = (f", tenants="
-                               f"{len(service.tenants.tenant_names())}")
-            else:
-                names = ", ".join(
-                    service.system.scheme_names()) or "(none)"
-                registry = service.system.registry
-                tenant_note = ""
+            directory = service.directory
+            # register_all gives every namespace the same boot-time
+            # schemes, so the first one names them all.
+            names = ", ".join(directory.scheme_names(
+                directory.tenant_names()[0])) or "(none)"
             # flush: supervisors (and the CI smoke script) parse the
             # banner for the bound port through a block-buffered pipe.
             registry_note = (f", registry={args.registry}"
@@ -735,10 +698,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"wmxml serve: listening on http://{host}:{port} "
                   f"(schemes: {names}, "
                   f"processes={args.processes or 1}"
-                  f"{tenant_note}{registry_note})",
+                  f"{directory.banner_note()}{registry_note})",
                   flush=True)
-            recovery = (getattr(registry, "last_recovery", None)
-                        if registry is not None else None)
+            recovery = getattr(directory.registry, "last_recovery", None)
             if recovery is not None and recovery.actions:
                 print(f"wmxml serve: crash recovery quarantined "
                       f"{len(recovery.actions)} torn trailing "
@@ -958,6 +920,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------
 
 
+def _secret_key(text: str) -> str:
+    """The argparse type of every ``--key``: an empty key is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("secret key must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wmxml",
@@ -988,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="where to save the query set Q (JSON); "
                        "optional with --registry, which persists Q "
                        "itself")
-    embed.add_argument("--key", "-k", required=True)
+    embed.add_argument("--key", "-k", required=True, type=_secret_key)
     embed.add_argument("--message", "-m",
                        help="watermark message (required unless "
                        "--recipient issues a fingerprinted copy)")
@@ -1030,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "--registry)")
     detect.add_argument("--registry", metavar="PATH.DB",
                         help="SQLite registry to look records up in")
-    detect.add_argument("--key", "-k", required=True)
+    detect.add_argument("--key", "-k", required=True, type=_secret_key)
     detect.add_argument("--message", "-m",
                         help="expected message (verification mode)")
     detect.add_argument("--shape", help="current organisation of the data "
@@ -1123,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True, metavar="[NAME=]PATH",
                        help="scheme.json to register (repeatable); the "
                        "registry name defaults to the file stem")
-    serve.add_argument("--key", "-k",
+    serve.add_argument("--key", "-k", type=_secret_key,
                        help="the owner's secret key (never leaves the "
                        "daemon); single-tenant mode, mutually "
                        "exclusive with --tenants")
@@ -1239,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--input", "-i", required=True,
                        help="the suspected leaked document")
     trace.add_argument("--registry", metavar="PATH.DB", required=True)
-    trace.add_argument("--key", "-k", required=True,
+    trace.add_argument("--key", "-k", required=True, type=_secret_key,
                        help="the owner's master secret key")
     trace.add_argument("--shape", help="the copy's current organisation")
     trace.add_argument("--strategy", default="auto",
@@ -1258,7 +1227,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = ledger_sub.add_parser(
         "verify", help="re-verify the whole hash chain")
     verify.add_argument("--registry", metavar="PATH.DB", required=True)
-    verify.add_argument("--key", "-k",
+    verify.add_argument("--key", "-k", type=_secret_key,
                         help="the system key; verifies the HMAC seals "
                         "too (omit for hash-links-only verification)")
     verify.set_defaults(handler=cmd_ledger)
@@ -1266,7 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "recover",
         help="quarantine torn trailing appends after a crash")
     recover.add_argument("--registry", metavar="PATH.DB", required=True)
-    recover.add_argument("--key", "-k",
+    recover.add_argument("--key", "-k", type=_secret_key,
                          help="the system key; recovered blocks are "
                          "seal-verified too when given")
     recover.set_defaults(handler=cmd_ledger_recover)
@@ -1284,7 +1253,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--size", type=int, default=200)
     perf.add_argument("--seed", type=int, default=42)
     perf.add_argument("--gamma", type=int, default=2)
-    perf.add_argument("--key", "-k", default="wmxml-perf-key")
+    perf.add_argument("--key", "-k", default="wmxml-perf-key",
+                      type=_secret_key)
     perf.add_argument("--message", "-m", default="(c) WmXML")
     perf.set_defaults(handler=cmd_perf)
 

@@ -23,8 +23,9 @@ Arming
 
 * programmatically: :func:`arm` / :func:`disarm` / :func:`injected`
 * from the environment: ``WMXML_FAULTS="point=mode[:k=v...][,...]"``
-  parsed at import, which is how the chaos-smoke CI job arms a real
-  ``wmxml serve`` subprocess, e.g.::
+  parsed at import, which is how ``benchmarks/chaos_smoke.py`` (one
+  leg of CI's ``smoke`` job) arms a real ``wmxml serve`` subprocess,
+  e.g.::
 
       WMXML_FAULTS="pool.chunk=exit:times=1" wmxml serve ...
 
@@ -87,7 +88,7 @@ __all__ = [
     "register_fault_point",
 ]
 
-#: Environment variable the chaos-smoke harness arms daemons through.
+#: Environment variable ``benchmarks/chaos_smoke.py`` arms daemons through.
 FAULTS_ENV = "WMXML_FAULTS"
 
 #: Accepted ``mode`` values of a :class:`FaultSpec`.

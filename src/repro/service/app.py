@@ -1,12 +1,12 @@
-"""The WmXML watermarking daemon: one ``WmXMLSystem`` behind HTTP.
+"""The WmXML watermarking daemon: keyed ``WmXMLSystem`` objects on HTTP.
 
 The paper presents WmXML as a system that *sits beside* an XML
 database and watermarks/verifies documents on demand (§1, Figure 4);
-this module is that deployment shape.  A :class:`WmXMLService` wraps
-one :class:`~repro.api.WmXMLSystem` — the secret key never crosses the
-wire; documents, records and verdicts do — and exposes the versioned
-JSON protocol of :mod:`repro.service.protocol` over a dependency-free
-``http.server`` stack:
+this module is that deployment shape.  A :class:`WmXMLService` serves
+the systems of one :class:`~repro.tenants.TenantDirectory` — the secret
+keys never cross the wire; documents, records and verdicts do — and
+exposes the versioned JSON protocol of :mod:`repro.service.protocol`
+over a dependency-free ``http.server`` stack:
 
 ====================  ======================================================
 endpoint              behaviour
@@ -34,11 +34,11 @@ with the daemon's configured worker-process count.
 (status, payload, headers)`` function with no socket I/O, so the whole
 routing/error-mapping surface is unit-testable without a server.
 
-Constructed with ``tenants=`` (a :class:`~repro.tenants.TenantDirectory`)
-instead of a single system, the same daemon serves many tenants: every
-endpoint except ``/v1/healthz`` demands a bearer token, scopes gate each
-route (401/403), token buckets answer 429 + ``Retry-After``, and
-schemes, records, trace and stats are namespaced per tenant.
+Every request takes one path through the directory.  A tenants file's
+demands a bearer token on every endpoint except ``/v1/healthz``, scopes
+gate each route (401/403), token buckets answer 429 + ``Retry-After``,
+and schemes, records, trace and stats are namespaced per tenant; a
+``--key`` daemon's is one open namespace.
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ from repro.errors import WmXMLError, error_code, http_status_for
 from repro.perf.timers import StageTimer
 from repro.service import protocol
 from repro.tenants import TenantDirectory
-from repro.tenants.errors import (ForbiddenError, RateLimitedError,
-                                  UnauthorizedError)
+from repro.tenants.errors import ForbiddenError, RateLimitedError
 from repro.tenants.tokens import TokenClaims
 from repro.xmlmodel.parser import parse
 from repro.service.protocol import (
@@ -81,17 +80,13 @@ from repro.api.pipeline import DETECTION_STRATEGIES
 
 
 class WmXMLService:
-    """Routing, error mapping and stats for one ``WmXMLSystem``.
+    """Routing, error mapping and stats over one ``TenantDirectory``.
 
-    Two construction modes, mutually exclusive:
-
-    * ``WmXMLService(system)`` — the classic single-tenant daemon: one
-      key, one scheme namespace, no authentication.  Behaviour is
-      byte-for-byte what it was before tenancy existed.
-    * ``WmXMLService(tenants=directory)`` — multi-tenant: every
-      endpoint except ``/v1/healthz`` requires a bearer token, scopes
-      gate each route, token buckets rate-limit each tenant, and
-      schemes/records/trace/stats are namespaced per tenant.
+    ``WmXMLService(tenants=directory)`` serves any directory;
+    ``WmXMLService(system)`` serves ``TenantDirectory.single(system)``,
+    a ``--key`` daemon's one open namespace.  Either way every handler
+    resolves caller -> system -> registry -> schemes -> trace through
+    the directory.
     """
 
     def __init__(self, system: Optional[WmXMLSystem] = None, *,
@@ -103,31 +98,29 @@ class WmXMLService:
         if (system is None) == (tenants is None):
             raise ValueError(
                 "pass exactly one of system= or tenants=")
-        self.system = system
-        self.tenants = tenants
+        self.directory = (tenants if tenants is not None
+                          else TenantDirectory.single(system))
+        #: The ``--key`` daemon's system (``None`` serving tenants).
+        self.system = self.directory.single_system
         self.processes = processes
         self.max_body_bytes = max_body_bytes
         self.max_schemes = max_schemes
         #: Delta-seconds advertised in ``Retry-After`` on every 503.
         self.retry_after = retry_after
-        # ``max_schemes`` bounds *wire-registered* additions: schemes
-        # the operator loaded at boot never count against it.  Tenant
-        # mode tracks one ceiling per namespace.
-        if system is not None:
-            self._scheme_ceiling = len(system.scheme_names()) + max_schemes
-            self._scheme_ceilings = {}
-        else:
-            self._scheme_ceiling = max_schemes
-            self._scheme_ceilings = {
-                name: len(tenants.scheme_names(name)) + max_schemes
-                for name in tenants.tenant_names()}
-        # Which tenant the request thread authenticated as, for stats
-        # attribution after dispatch's try/except collapses the path.
+        # ``max_schemes`` bounds *wire-registered* additions to each
+        # namespace: schemes the operator loaded at boot never count
+        # against it.
+        names = self.directory.tenant_names()
+        self._scheme_ceilings = {
+            name: len(self.directory.scheme_names(name)) + max_schemes
+            for name in names}
+        # The counters of the tenant the request thread authenticated
+        # as, for stats attribution after dispatch's try/except
+        # collapses the path.
         self._local = threading.local()
         self._tenant_counters = {
             name: {"requests": 0, "errors": 0, "embedded_documents": 0}
-            for name in (tenants.tenant_names()
-                         if tenants is not None else ())}
+            for name in names}
         # Serialises the ceiling check + insert of PUT /v1/schemes so
         # concurrent PUTs cannot race past the ceiling.
         self._registry_lock = threading.Lock()
@@ -194,7 +187,7 @@ class WmXMLService:
         label = f"{method} {_endpoint_label(path)}"
         start = time.perf_counter()
         failed = False
-        self._local.tenant = None
+        self._local.counters = None
         try:
             # A fault here models any request-handling crash before
             # routing; one after routing models a late failure with
@@ -239,13 +232,12 @@ class WmXMLService:
             # hammer a struggling daemon.
             response_headers.setdefault("Retry-After",
                                         str(self.retry_after))
-        tenant = getattr(self._local, "tenant", None)
+        counters = self._local.counters
         with self._stats_lock:
             self._requests += 1
             self._errors += failed
             self._timer.record(label, time.perf_counter() - start)
-            if tenant is not None:
-                counters = self._tenant_counters[tenant]
+            if counters is not None:
                 counters["requests"] += 1
                 counters["errors"] += failed
         return status, payload, response_headers
@@ -271,50 +263,50 @@ class WmXMLService:
         query = urllib.parse.parse_qs(query_string)
         path = path.rstrip("/") or "/"
         if path == "/v1/healthz":
-            # Health stays open in tenant mode: load balancers and
-            # orchestrators probe it without credentials, and it
-            # reveals no tenant data.
+            # Health stays open: load balancers and orchestrators probe
+            # it without credentials, and it reveals no tenant data.
             _require_method(method, "GET")
             return 200, protocol.ok_response(self._healthz()), {}
-        auth = self._authenticate(method, path, headers)
+        claims = self._authenticate(method, path, headers)
         if path == "/v1/stats":
             _require_method(method, "GET")
-            return 200, protocol.ok_response(self._stats(auth)), {}
+            return 200, protocol.ok_response(self._stats(claims)), {}
         if path == "/v1/embed":
             _require_method(method, "POST")
             return self._embed(protocol.parse_request(body), batch=False,
-                               auth=auth)
+                               claims=claims)
         if path == "/v1/embed/batch":
             _require_method(method, "POST")
             return self._embed(protocol.parse_request(body), batch=True,
-                               auth=auth)
+                               claims=claims)
         if path == "/v1/detect":
             _require_method(method, "POST")
             return self._detect(protocol.parse_request(body), batch=False,
-                                auth=auth)
+                                claims=claims)
         if path == "/v1/detect/batch":
             _require_method(method, "POST")
             return self._detect(protocol.parse_request(body), batch=True,
-                                auth=auth)
+                                claims=claims)
         if path == "/v1/records":
             _require_method(method, "GET")
-            return self._records(query, auth)
+            return self._records(query, claims)
         if path == "/v1/ledger/verify":
             _require_method(method, "GET")
             return self._ledger_verify()
         if path == "/v1/trace":
             _require_method(method, "POST")
-            return self._trace(protocol.parse_request(body), auth)
+            return self._trace(protocol.parse_request(body), claims)
         if path == "/v1/schemes":
             _require_method(method, "GET")
+            system = self.directory.system(claims.tenant)
             return 200, protocol.ok_response(
-                {"schemes": self._system_for(auth).list_schemes()}), {}
+                {"schemes": system.list_schemes()}), {}
         if path.startswith("/v1/schemes/"):
             name = urllib.parse.unquote(path[len("/v1/schemes/"):])
             if method == "GET":
-                return self._get_scheme(name, headers, auth)
+                return self._get_scheme(name, headers, claims)
             if method == "PUT":
-                return self._put_scheme(name, body, auth)
+                return self._put_scheme(name, body, claims)
             raise MethodNotAllowedError(
                 f"{method} not allowed on /v1/schemes/{{name}} "
                 "(use GET or PUT)")
@@ -323,19 +315,16 @@ class WmXMLService:
     # -- auth / tenancy ------------------------------------------------------------
 
     def _authenticate(self, method: str, path: str,
-                      headers: dict) -> Optional[TokenClaims]:
-        """The tenant-mode gate: token -> scopes -> request bucket.
+                      headers: dict) -> TokenClaims:
+        """The gate: caller -> scopes -> request bucket.
 
-        Single-tenant daemons return ``None`` without looking at the
-        headers, so the pre-tenancy wire behaviour is untouched.  The
-        order is deliberate: a missing credential is 401 before a
+        The order is deliberate: a missing credential is 401 before a
         missing scope is 403 before an empty bucket is 429 — and only
         an *authenticated* request is charged or counted against its
-        tenant.
+        tenant.  A ``--key`` daemon's open namespace passes with every
+        scope and no quota.
         """
-        if self.tenants is None:
-            return None
-        claims = self.tenants.authenticate(_bearer_token(headers))
+        claims = self.directory.request_claims(headers)
         scope = _required_scope(method, path)
         if scope is not None and scope not in claims.scopes:
             raise ForbiddenError(
@@ -344,23 +333,9 @@ class WmXMLService:
                 f"(granted: {sorted(claims.scopes)})")
         # Attribute before charging: a 429 is the tenant's own
         # traffic, so it must land in that tenant's error counter.
-        self._local.tenant = claims.tenant
-        self.tenants.charge_request(claims.tenant)
+        self._local.counters = self._tenant_counters[claims.tenant]
+        self.directory.charge_request(claims.tenant)
         return claims
-
-    def _system_for(self, auth: Optional[TokenClaims],
-                    key_id: Optional[int] = None) -> WmXMLSystem:
-        """The system serving this request: the single-tenant one, or
-        the authenticated tenant's system under ``key_id`` (``None``
-        = the active generation)."""
-        if self.tenants is None:
-            return self.system
-        return self.tenants.system(auth.tenant, key_id=key_id)
-
-    def _registry_source(self) -> Optional[WatermarkRegistry]:
-        if self.tenants is not None:
-            return self.tenants.registry
-        return self.system.registry
 
     # -- endpoints ------------------------------------------------------------
 
@@ -369,7 +344,7 @@ class WmXMLService:
         # registry read clears the degraded flag, a failing one sets
         # it.  Health always answers 200 — "degraded" is a state
         # report, not an error.
-        registry = self._registry_source()
+        registry = self.directory.registry
         summary = None
         if registry is not None:
             try:
@@ -386,17 +361,10 @@ class WmXMLService:
             "processes": self.processes,
             "registry": summary,
         }
-        if self.tenants is None:
-            payload["schemes"] = self.system.scheme_names()
-            payload["key_fingerprint"] = self.system.key_fingerprint
-        else:
-            # No per-tenant detail on the open probe: just the master
-            # key fingerprint (a public hash) and the population size.
-            payload["key_fingerprint"] = self.tenants.keys.fingerprint()
-            payload["tenants"] = len(self.tenants.tenant_names())
+        payload.update(self.directory.health())
         return payload
 
-    def _stats(self, auth: Optional[TokenClaims] = None) -> dict:
+    def _stats(self, claims: TokenClaims) -> dict:
         with self._stats_lock:
             endpoints = {
                 name: {"calls": stats.calls,
@@ -410,13 +378,8 @@ class WmXMLService:
                        "uptime_s": round(time.monotonic()
                                          - self._started, 3),
                        "endpoints": endpoints}
-            if auth is not None:
-                counters = dict(self._tenant_counters[auth.tenant])
-                payload["tenant"] = {
-                    "name": auth.tenant,
-                    **counters,
-                    "quota": self.tenants.quota_snapshot(auth.tenant),
-                }
+            payload.update(self.directory.usage(
+                claims.tenant, self._tenant_counters[claims.tenant]))
             return payload
 
     def _scheme_argument(self, request: dict) -> SchemeLike:
@@ -431,10 +394,9 @@ class WmXMLService:
             f"request field 'scheme' must be a name or an object, got "
             f"{type(scheme).__name__}")
 
-    def _embed(self, request: dict, batch: bool,
-               auth: Optional[TokenClaims] = None
+    def _embed(self, request: dict, batch: bool, claims: TokenClaims
                ) -> tuple[int, dict, dict]:
-        system = self._system_for(auth)
+        system = self.directory.system(claims.tenant)
         scheme = self._scheme_argument(request)
         recipient = _request_recipient(request)
         if recipient is not None:
@@ -451,18 +413,17 @@ class WmXMLService:
         else:
             documents = [protocol.required_field(request, "document", str)]
             processes = None
-        if auth is not None:
-            # The document bucket charges per embedded copy, before
-            # any compute is spent — a 429'd batch costs the daemon
-            # nothing but the parse.
-            self.tenants.charge_documents(auth.tenant, len(documents))
+        # The document bucket charges per embedded copy, before any
+        # compute is spent — a 429'd batch costs the daemon nothing but
+        # the parse.
+        self.directory.charge_documents(claims.tenant, len(documents))
         # Routed through the system (not the pipeline) so an attached
         # registry records every copy that leaves over the wire.  When
         # registry storage is dark the daemon degrades instead of
         # refusing: the embed still serves, flagged ``recorded: false``
         # so the caller knows this copy left no ledger trace.
         recorded: Optional[bool] = None
-        if self._registry_source() is not None:
+        if self.directory.registry is not None:
             recorded = not self._degraded or self._registry_recovered()
         if recorded is False:
             results = pipeline.embed_many(documents, message,
@@ -489,17 +450,14 @@ class WmXMLService:
             payload = _embed_payload(results[0])
         if recorded is not None:
             payload["recorded"] = recorded
-        if auth is not None:
-            payload["tenant"] = auth.tenant
-            payload["key_id"] = system.key_id
-            with self._stats_lock:
-                self._tenant_counters[auth.tenant][
-                    "embedded_documents"] += len(documents)
+        payload.update(system.tenancy())
+        with self._stats_lock:
+            self._tenant_counters[claims.tenant][
+                "embedded_documents"] += len(documents)
         return 200, protocol.ok_response(payload), {
             protocol.FINGERPRINT_HEADER: pipeline.fingerprint}
 
-    def _detect(self, request: dict, batch: bool,
-                auth: Optional[TokenClaims] = None
+    def _detect(self, request: dict, batch: bool, claims: TokenClaims
                 ) -> tuple[int, dict, dict]:
         scheme = self._scheme_argument(request)
         expected = request.get("expected")
@@ -520,7 +478,7 @@ class WmXMLService:
                                                  str)]
             records = [WatermarkRecord.from_dict(
                 protocol.required_field(request, "record", dict))]
-        pipeline = self._detect_system(auth, records).pipeline(scheme)
+        pipeline = self._detect_system(claims, records).pipeline(scheme)
         if batch:
             outcomes = pipeline.detect_many(
                 list(zip(documents, records)), expected=expected,
@@ -536,20 +494,18 @@ class WmXMLService:
         return 200, protocol.ok_response(payload), {
             protocol.FINGERPRINT_HEADER: pipeline.fingerprint}
 
-    def _detect_system(self, auth: Optional[TokenClaims],
+    def _detect_system(self, claims: TokenClaims,
                        records: list) -> WmXMLSystem:
         """The system whose key can verify these records.
 
-        Tenant mode resolves each record's stamped generation (a
+        The directory resolves each record's stamped generation (a
         record from another tenant's namespace is 403, a forged
         ``key_id`` is refused by the key map); a batch that mixes
         generations would silently mis-verify under a single key, so
         it is rejected outright.  Unstamped records verify under the
         caller's active generation.
         """
-        if self.tenants is None:
-            return self.system
-        systems = {self.tenants.system_for_record(auth.tenant, record)
+        systems = {self.directory.system_for_record(claims.tenant, record)
                    for record in records}
         if len(systems) > 1:
             raise MalformedRequestError(
@@ -560,7 +516,7 @@ class WmXMLService:
     # -- registry endpoints ------------------------------------------------------------
 
     def _registry(self) -> WatermarkRegistry:
-        registry = self._registry_source()
+        registry = self.directory.registry
         if registry is None:
             raise RegistryNotConfiguredError(
                 "this daemon runs without a registry; restart it with "
@@ -576,77 +532,58 @@ class WmXMLService:
 
     def _registry_recovered(self) -> bool:
         """One cheap probe: a readable registry clears the flag."""
-        registry = self._registry_source()
         try:
-            registry.backend.record_count()
+            self.directory.registry.backend.record_count()
         except RegistryUnavailableError:
             return False
         self._degraded = False
         return True
 
-    def _scheme_filters(self, query: dict,
-                        auth: Optional[TokenClaims]
-                        ) -> Optional[list[str]]:
+    def _scheme_filters(self, query: dict, claims: TokenClaims
+                        ) -> list[Optional[str]]:
         """The ``scheme`` query param as registry fingerprints: a
         registered name resolves to its fingerprint(s), anything else
-        passes through as a raw pipeline fingerprint.
+        passes through as a raw pipeline fingerprint, and no param is
+        ``[None]`` (no filter).
 
-        Tenant mode resolves a name across *every* key generation —
-        records embedded before a rotation carry the older
-        generation's fingerprint, and a tenant asking for "their
-        scheme" means all of them.
+        A name resolves across *every* key generation — records
+        embedded before a rotation carry the older generation's
+        fingerprint, and a tenant asking for "their scheme" means all
+        of them.
         """
         value = _single_param(query, "scheme")
         if value is None:
-            return None
-        if self.tenants is not None:
-            if value in self.tenants.scheme_names(auth.tenant):
-                return self.tenants.scheme_fingerprints(
-                    auth.tenant, value)
-            return [value]
-        if value in self.system.scheme_names():
-            return [self.system.scheme_fingerprint(value)]
+            return [None]
+        if value in self.directory.scheme_names(claims.tenant):
+            return self.directory.scheme_fingerprints(claims.tenant,
+                                                      value)
         return [value]
 
-    def _records(self, query: dict,
-                 auth: Optional[TokenClaims] = None
+    def _records(self, query: dict, claims: TokenClaims
                  ) -> tuple[int, dict, dict]:
         registry = self._registry()
         recipient = _single_param(query, "recipient")
-        fingerprints = self._scheme_filters(query, auth)
+        fingerprints = self._scheme_filters(query, claims)
         document_hash = _single_param(query, "document_hash")
-        tenant = auth.tenant if auth is not None else None
         offset = _int_param(query, "offset", 0)
         limit = _int_param(query, "limit", 100)
         if offset < 0 or limit < 0:
             raise MalformedRequestError(
                 "'offset' and 'limit' must be non-negative")
-        if fingerprints is None or len(fingerprints) == 1:
-            fingerprint = fingerprints[0] if fingerprints else None
-            entries = registry.records(
+        # Each fingerprint's rows are read once; a rotated scheme's
+        # per-generation result sets merge back into sequence order,
+        # and the merge is paged by hand.
+        merged = []
+        for fingerprint in fingerprints:
+            merged.extend(registry.records(
                 recipient=recipient, scheme_fingerprint=fingerprint,
-                document_hash=document_hash, tenant=tenant,
-                offset=offset, limit=limit)
-            total = registry.count(
-                recipient=recipient, scheme_fingerprint=fingerprint,
-                document_hash=document_hash, tenant=tenant)
-        else:
-            # A rotated scheme spans several fingerprints; merge the
-            # per-generation result sets back into sequence order and
-            # page the merge by hand.
-            merged = []
-            for fingerprint in fingerprints:
-                merged.extend(registry.records(
-                    recipient=recipient,
-                    scheme_fingerprint=fingerprint,
-                    document_hash=document_hash, tenant=tenant))
-            merged.sort(key=lambda entry: entry.sequence
-                        if entry.sequence is not None else 0)
-            total = len(merged)
-            entries = merged[offset:offset + limit]
+                document_hash=document_hash, tenant=claims.tenant))
+        merged.sort(key=lambda entry: entry.sequence
+                    if entry.sequence is not None else 0)
         return 200, protocol.ok_response({
-            "records": [entry.to_dict() for entry in entries],
-            "total": total, "offset": offset, "limit": limit,
+            "records": [entry.to_dict()
+                        for entry in merged[offset:offset + limit]],
+            "total": len(merged), "offset": offset, "limit": limit,
         }), {}
 
     def _ledger_verify(self) -> tuple[int, dict, dict]:
@@ -657,8 +594,7 @@ class WmXMLService:
         return 200, protocol.ok_response(
             {"ledger": verification.to_dict()}), {}
 
-    def _trace(self, request: dict,
-               auth: Optional[TokenClaims] = None
+    def _trace(self, request: dict, claims: TokenClaims
                ) -> tuple[int, dict, dict]:
         self._registry()
         scheme = self._scheme_argument(request)
@@ -676,28 +612,22 @@ class WmXMLService:
             raise MalformedRequestError(
                 f"unknown detection strategy {strategy!r}; choices: "
                 f"{DETECTION_STRATEGIES}")
-        if auth is not None:
-            # The directory's trace never leaves the tenant's registry
-            # namespace and sweeps every key generation of the scheme.
-            trace = self.tenants.trace(
-                auth.tenant, scheme, document,
-                shape=_request_shape(request), strategy=strategy,
-                recipients=recipients)
-        else:
-            trace = self.system.trace(
-                scheme, document, shape=_request_shape(request),
-                strategy=strategy, recipients=recipients)
+        # The directory's trace never leaves the caller's registry
+        # namespace and sweeps every key generation of the scheme.
+        trace = self.directory.trace(
+            claims.tenant, scheme, document,
+            shape=_request_shape(request), strategy=strategy,
+            recipients=recipients)
         return 200, protocol.ok_response({"trace": trace.to_dict()}), {
-            protocol.FINGERPRINT_HEADER:
-                self._system_for(auth).scheme_fingerprint(scheme)}
+            protocol.FINGERPRINT_HEADER: self.directory
+            .system(claims.tenant).scheme_fingerprint(scheme)}
 
-    def _get_scheme(self, name: str, headers: dict,
-                    auth: Optional[TokenClaims] = None
+    def _get_scheme(self, name: str, headers: dict, claims: TokenClaims
                     ) -> tuple[int, Optional[dict], dict]:
         # Atomic pair: a concurrent PUT must not pair the old body
         # with the new ETag (which would pin conditional GETs to the
         # stale scheme) — and repeat polls hit the fingerprint cache.
-        scheme, fingerprint = self._system_for(auth) \
+        scheme, fingerprint = self.directory.system(claims.tenant) \
             .scheme_with_fingerprint(name)
         etag = f'"{fingerprint}"'
         response_headers = {"ETag": etag,
@@ -708,39 +638,27 @@ class WmXMLService:
             {"name": name, "scheme": scheme.to_dict(),
              "fingerprint": fingerprint}), response_headers
 
-    def _put_scheme(self, name: str, body: bytes,
-                    auth: Optional[TokenClaims] = None
+    def _put_scheme(self, name: str, body: bytes, claims: TokenClaims
                     ) -> tuple[int, dict, dict]:
         # The body is the wmxml-scheme-v1 artefact itself (it carries
         # its own format tag), not a request envelope.
         scheme = WatermarkingScheme.from_dict(protocol.parse_json(body))
+        tenant = claims.tenant
         with self._registry_lock:
-            if auth is not None:
-                registered = self.tenants.scheme_names(auth.tenant)
-                ceiling = self._scheme_ceilings[auth.tenant]
-                if (name not in registered
-                        and len(registered) >= ceiling):
-                    raise RegistryFullError(
-                        f"tenant {auth.tenant!r} holds "
-                        f"{len(registered)} schemes "
-                        f"({self.max_schemes} wire-registered "
-                        "allowed); replace an existing name or raise "
-                        "--max-schemes")
-                self.tenants.register(auth.tenant, name, scheme)
-            else:
-                registered = self.system.scheme_names()
-                if (name not in registered
-                        and len(registered) >= self._scheme_ceiling):
-                    raise RegistryFullError(
-                        f"registry holds {len(registered)} schemes "
-                        f"({self.max_schemes} wire-registered "
-                        "allowed); replace an existing name or raise "
-                        "--max-schemes")
-                self.system.add_scheme(name, scheme)
+            registered = self.directory.scheme_names(tenant)
+            if (name not in registered
+                    and len(registered) >= self._scheme_ceilings[tenant]):
+                raise RegistryFullError(
+                    f"{self.directory.namespace(tenant)} holds "
+                    f"{len(registered)} schemes ({self.max_schemes} "
+                    "wire-registered allowed); replace an existing name "
+                    "or raise --max-schemes")
+            self.directory.register(tenant, name, scheme)
         # Fingerprint the object we registered, not the name: a
         # concurrent PUT to the same name must not leak its fingerprint
         # into our response/ETag.
-        fingerprint = self._system_for(auth).scheme_fingerprint(scheme)
+        fingerprint = self.directory.system(tenant) \
+            .scheme_fingerprint(scheme)
         return 200, protocol.ok_response(
             {"registered": name, "fingerprint": fingerprint}), {
                 "ETag": f'"{fingerprint}"',
@@ -751,24 +669,6 @@ def _require_method(method: str, allowed: str) -> None:
     if method != allowed:
         raise MethodNotAllowedError(
             f"{method} not allowed here (use {allowed})")
-
-
-def _bearer_token(headers: dict) -> Optional[str]:
-    """The token of an ``Authorization: Bearer <token>`` header.
-
-    ``None`` when the header is absent (the verifier turns that into
-    a 401 with its own message); a present-but-malformed header is
-    refused here with a hint at the expected shape.
-    """
-    for key, value in headers.items():
-        if key.lower() == "authorization":
-            kind, _, token = value.strip().partition(" ")
-            token = token.strip()
-            if kind.lower() != "bearer" or not token:
-                raise UnauthorizedError(
-                    "Authorization header must be 'Bearer <token>'")
-            return token
-    return None
 
 
 def _required_scope(method: str, path: str) -> Optional[str]:

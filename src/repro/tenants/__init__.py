@@ -1,7 +1,7 @@
 """`repro.tenants` — multi-tenant keys, bearer auth, and quotas.
 
-The tenancy subsystem turns the one-key ``wmxml serve`` daemon into a
-multi-tenant service:
+The tenancy subsystem is the request path of every ``wmxml serve``
+daemon, and what lets one daemon serve many tenants:
 
 * :class:`MasterKeyMap` — key generations (rotation = a new key id)
   with HKDF-style per-tenant/per-scheme subkey derivation via
@@ -18,8 +18,9 @@ multi-tenant service:
   ``WmXMLSystem`` instances, scheme namespaces, and a tenant-filtered
   registry.
 
-Single-tenant deployments never touch this package: a
-``WmXMLService(system)`` daemon behaves byte-for-byte as before.
+A single-key ``--key`` daemon runs through this package too: its
+service holds :meth:`TenantDirectory.single`, one open namespace whose
+wire bytes are those of the classic single-key daemon.
 """
 
 from repro.tenants.config import TENANTS_FORMAT, TenantConfig, TenantsConfig

@@ -1,6 +1,8 @@
 """`TenantDirectory` — many tenants, one process, one registry.
 
-The directory is what a multi-tenant daemon holds instead of a single
+Every daemon's requests go through a directory: one namespace per
+tenant of a tenants file, or :meth:`TenantDirectory.single` — a
+``--key`` daemon's one open namespace and
 :class:`~repro.api.system.WmXMLSystem`.  It owns:
 
 * the :class:`MasterKeyMap` (key generations + subkey derivation);
@@ -25,7 +27,8 @@ detections keep verifying forever.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.api.system import WmXMLSystem, only_recipients, sweep_trace
 from repro.core.fingerprint import TraceResult
@@ -35,7 +38,8 @@ from repro.registry import RegistryNotConfiguredError, WatermarkRegistry
 from .config import TenantConfig, TenantsConfig
 from .errors import ForbiddenError, TenantConfigError, UnauthorizedError
 from .quotas import Clock, TenantQuota
-from .tokens import TokenClaims, mint_token, verify_token
+from .tokens import (KNOWN_SCOPES, TokenClaims, bearer_token, mint_token,
+                     verify_token)
 
 import time
 
@@ -61,6 +65,30 @@ class TenantDirectory:
             name: TenantQuota(tenant.quota, clock=clock)
             for name, tenant in config.tenants.items()}
         self._lock = threading.Lock()
+        #: The one system of the :meth:`single` form, else ``None``.
+        self.single_system: Optional[WmXMLSystem] = None
+
+    @classmethod
+    def single(cls, system: WmXMLSystem) -> "TenantDirectory":
+        """A ``--key`` daemon's directory: one open namespace, tenant
+        ``None``, served by ``system`` with no quota.
+
+        Its four differences from a tenants file's directory live in
+        this class: it asks for no token (:meth:`request_claims`);
+        ``system`` verifies every record, whatever its ``tenant``/
+        ``key_id`` stamp (:meth:`system_for_record`); the ledger keeps
+        the seal ``system`` attached, so single-key registries keep
+        verifying; and healthz shows the system's schemes and key
+        fingerprint (:meth:`health`).
+        """
+        directory = cls(TenantsConfig(keys=None,
+                                      tenants={None: TenantConfig(None)}),
+                        alpha=system.alpha, issuer=system.issuer)
+        directory.registry = system.registry
+        directory.single_system = system
+        # Cached like any built system, so register() reaches it.
+        directory._systems[(None, None)] = system
+        return directory
 
     # -- tenants ------------------------------------------------------------
 
@@ -107,9 +135,7 @@ class TenantDirectory:
         return scheme
 
     def scheme_names(self, tenant: str) -> List[str]:
-        self.tenant(tenant)
-        with self._lock:
-            return sorted(self._schemes[tenant])
+        return self.system(tenant).scheme_names()
 
     def scheme_fingerprints(self, tenant: str, name: str) -> List[str]:
         """The pipeline fingerprints of one named scheme across every
@@ -118,7 +144,7 @@ class TenantDirectory:
         since records embedded before a rotation carry the older
         generation's fingerprint."""
         seen: List[str] = []
-        for key_id in self.keys.key_ids():
+        for key_id in self._key_ids():
             fingerprint = self.system(tenant, key_id) \
                 .scheme_fingerprint(name)
             if fingerprint not in seen:
@@ -132,9 +158,12 @@ class TenantDirectory:
         """The tenant's system under one key generation (cached).
 
         ``key_id=None`` means the active generation — the one new
-        embeds and tokens are issued under.
+        embeds and tokens are issued under.  The :meth:`single` form
+        has one system for every generation.
         """
         self.tenant(tenant)
+        if self.single_system is not None:
+            return self.single_system
         if key_id is None:
             key_id = self.keys.active_id
         with self._lock:
@@ -160,8 +189,11 @@ class TenantDirectory:
         :class:`ForbiddenError`: possession of a leaked record must
         not let one tenant drive detections in another's namespace.
         An unstamped record (single-tenant era, or built client-side)
-        verifies under the caller's active generation.
+        verifies under the caller's active generation.  The
+        :meth:`single` form's one system verifies every record.
         """
+        if self.single_system is not None:
+            return self.single_system
         stamped = getattr(record, "tenant", None)
         if stamped is not None and stamped != tenant:
             raise ForbiddenError(
@@ -201,6 +233,9 @@ class TenantDirectory:
         scope in the config file disarms every outstanding token
         immediately.
         """
+        if self.single_system is not None:
+            return TokenClaims(tenant=None, scopes=KNOWN_SCOPES,
+                               key_id=None)
         claims = verify_token(self.keys, token or "")
         tenant = self.config.tenants.get(claims.tenant)
         if tenant is None:
@@ -210,6 +245,12 @@ class TenantDirectory:
                            scopes=claims.scopes & tenant.scopes,
                            key_id=claims.key_id,
                            expires_at=claims.expires_at)
+
+    def request_claims(self, headers: Mapping[str, str]) -> TokenClaims:
+        """:meth:`authenticate` one request by its ``Authorization:
+        Bearer`` header, which the :meth:`single` form never reads."""
+        return self.authenticate(None if self.single_system is not None
+                                 else bearer_token(headers))
 
     # -- quotas ------------------------------------------------------------
 
@@ -222,7 +263,46 @@ class TenantDirectory:
     def quota_snapshot(self, tenant: str) -> dict:
         return self._quotas[tenant].snapshot()
 
+    # -- what the daemon reports ----------------------------------------------
+
+    def health(self) -> dict:
+        """What the open ``/v1/healthz`` probe shows: no per-tenant
+        detail, just the master key fingerprint (a public hash) and
+        the population size — or the :meth:`single` form's schemes and
+        key fingerprint."""
+        if self.single_system is not None:
+            return {"schemes": self.single_system.scheme_names(),
+                    "key_fingerprint": self.single_system.key_fingerprint}
+        return {"key_fingerprint": self.keys.fingerprint(),
+                "tenants": len(self.tenant_names())}
+
+    def usage(self, tenant: str, counters: dict) -> dict:
+        """The caller's own section of ``/v1/stats``: its counters and
+        quota under ``tenant``, or nothing for the open namespace."""
+        if self.single_system is not None:
+            return {}
+        return {"tenant": {"name": tenant, **counters,
+                           "quota": self.quota_snapshot(tenant)}}
+
+    def namespace(self, tenant: str) -> str:
+        """How a message names one namespace."""
+        if self.single_system is not None:
+            return "registry"
+        return f"tenant {tenant!r}"
+
+    def banner_note(self) -> str:
+        """The serve banner's tenant count; empty for the open one."""
+        if self.single_system is not None:
+            return ""
+        return f", tenants={len(self.tenant_names())}"
+
     # -- registry-wide operations ---------------------------------------------
+
+    def _key_ids(self) -> List[Optional[int]]:
+        """Every key generation, oldest first (one for :meth:`single`)."""
+        if self.single_system is not None:
+            return [None]
+        return self.keys.key_ids()
 
     def _require_registry(self) -> WatermarkRegistry:
         if self.registry is None:
@@ -244,7 +324,7 @@ class TenantDirectory:
         registry = self._require_registry()
         entries = []
         seen_fingerprints = set()
-        for key_id in self.keys.key_ids():
+        for key_id in self._key_ids():
             fingerprint = self.system(tenant, key_id) \
                 .scheme_fingerprint(scheme)
             if fingerprint in seen_fingerprints:
@@ -255,9 +335,6 @@ class TenantDirectory:
         entries.sort(key=lambda e: e.sequence
                      if e.sequence is not None else 0)
         return sweep_trace(
-            only_recipients(
-                entries, recipients,
-                lambda: sorted({entry.recipient for entry in entries})),
-            document, scheme,
+            only_recipients(entries, recipients), document, scheme,
             lambda entry: self.system(tenant, entry.key_id),
             shape=shape, strategy=strategy)

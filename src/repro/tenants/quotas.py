@@ -100,10 +100,13 @@ class QuotaPolicy:
                 f"known: {sorted(known)}")
         for field in known:
             value = raw.get(field)
-            if value is not None and (not isinstance(value, (int, float))
-                                      or isinstance(value, bool)):
+            kind = int if field.endswith("_burst") else (int, float)
+            if value is not None and (
+                    not isinstance(value, kind) or isinstance(value, bool)
+                    or not _finite_positive(value)):
                 raise TenantConfigError(
-                    f"quota field {field!r} must be a number, "
+                    f"quota field {field!r} must be a finite "
+                    f"{'integer' if kind is int else 'number'} > 0, "
                     f"got {value!r}")
         return cls(
             requests_per_minute=raw.get("requests_per_minute"),
@@ -119,6 +122,14 @@ class QuotaPolicy:
             "documents_per_minute": self.documents_per_minute,
             "document_burst": self.document_burst,
         }
+
+
+def _finite_positive(value) -> bool:
+    """``0 < value < inf`` once the bucket turns it into a float."""
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
 
 
 class TenantQuota:

@@ -22,9 +22,10 @@ import base64
 import hashlib
 import hmac
 import json
+import math
 import time
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, Mapping, Optional
 
 from .errors import TenantConfigError, UnauthorizedError, UnknownKeyError
 from .keys import MasterKeyMap
@@ -101,8 +102,10 @@ def mint_token(keys: MasterKeyMap, tenant: str, scopes: Iterable[str],
         key_id = keys.active_id
     expires_at: Optional[int] = None
     if ttl_s is not None:
-        if ttl_s <= 0:
-            raise TenantConfigError("token ttl must be positive")
+        if not 0 < ttl_s < math.inf:
+            raise TenantConfigError(
+                f"token ttl must be a positive, finite number of "
+                f"seconds, got {ttl_s!r}")
         expires_at = int((time.time() if now is None else now) + ttl_s)
     claims = {
         "format": TOKEN_FORMAT,
@@ -115,6 +118,24 @@ def mint_token(keys: MasterKeyMap, tenant: str, scopes: Iterable[str],
                       separators=(",", ":")).encode("utf-8")
     signature = _signature(keys.token_key(key_id), body)
     return f"{TOKEN_PREFIX}.{_b64encode(body)}.{_b64encode(signature)}"
+
+
+def bearer_token(headers: Mapping[str, str]) -> Optional[str]:
+    """The token of an ``Authorization: Bearer <token>`` header.
+
+    ``None`` when the header is absent (the verifier turns that into
+    a 401 with its own message); a present-but-malformed header is
+    refused here with a hint at the expected shape.
+    """
+    for key, value in headers.items():
+        if key.lower() == "authorization":
+            kind, _, token = value.strip().partition(" ")
+            token = token.strip()
+            if kind.lower() != "bearer" or not token:
+                raise UnauthorizedError(
+                    "Authorization header must be 'Bearer <token>'")
+            return token
+    return None
 
 
 def verify_token(keys: MasterKeyMap, token: str,

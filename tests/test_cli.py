@@ -176,6 +176,27 @@ class TestSchemeArtefactFlow:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["embed", "-i", "{ws}/d.xml", "-o", "{ws}/m.xml",
+                      "-m", "msg"], id="embed"),
+        pytest.param(["detect", "-i", "{ws}/m.xml", "-r", "{ws}/r.json"],
+                     id="detect"),
+        pytest.param(["serve", "--scheme", "{ws}/s.json", "--port", "0"],
+                     id="serve"),
+        pytest.param(["trace", "-i", "{ws}/m.xml",
+                      "--registry", "{ws}/r.db"], id="trace"),
+        pytest.param(["perf", "--size", "5"], id="perf"),
+        pytest.param(["ledger", "verify", "--registry", "{ws}/r.db"],
+                     id="ledger-verify"),
+        pytest.param(["ledger", "recover", "--registry", "{ws}/r.db"],
+                     id="ledger-recover"),
+    ])
+    def test_empty_key_is_a_usage_error(self, workspace, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*[arg.format(ws=workspace) for arg in argv], "--key", "")
+        assert excinfo.value.code == 2
+        assert "secret key must not be empty" in capsys.readouterr().err
+
     def test_attack_kinds(self, workspace):
         data = workspace / "data.xml"
         run("generate", "--profile", "jobs", "--size", "20", "-o", str(data))

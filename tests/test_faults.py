@@ -3,7 +3,7 @@
 Before any seam is hardened, the injector has to be trustworthy:
 deterministic (same spec, same firing pattern), self-disarming
 (``times=N``), refusing typos (unregistered points), armable from the
-environment exactly the way the chaos-smoke CI job arms a daemon
+environment exactly the way ``benchmarks/chaos_smoke.py`` arms a daemon
 subprocess, and **zero-overhead disarmed** — the hot paths pay one
 falsy dict check.
 """

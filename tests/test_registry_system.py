@@ -209,12 +209,28 @@ class TestTraceOverCorpus:
         assert set(trace.verdicts) == {"alice", "bob"}
         assert trace.prime_suspect == "bob"
 
-    def test_trace_unknown_recipient_refused(self, traced):
+    @pytest.mark.parametrize("wanted, known", [
+        ("mallory", ["alice", "bob", "carol"]),
+        # alice holds a copy of another deployment only: the hint
+        # lists the recipients the sweep knows, never alice herself.
+        ("alice", ["bob"]),
+    ], ids=["unknown", "other-scheme"])
+    def test_trace_unknown_recipient_refused(self, traced, scheme,
+                                             wanted, known):
         system, copies = traced
+        leak = copies["bob"].document
+        if wanted == "alice":
+            system = _system(scheme)
+            system.register("dense", bibliography.default_scheme(1))
+            text = serialize(bibliography.generate_document(
+                BibliographyConfig(books=10, editors=2, seed=5)))
+            system.issue("dense", parse(text), "alice")
+            leak = system.issue("books", parse(text), "bob").document
         with pytest.raises(UnknownRecipientError) as excinfo:
-            system.trace("books", copies["bob"].document,
-                         recipients=["mallory"])
+            system.trace("books", leak, recipients=[wanted])
         assert excinfo.value.code == "unknown-recipient"
+        assert str(excinfo.value).endswith(
+            f"known recipients include: {known}")
 
     def test_detect_recorded(self, traced):
         system, copies = traced

@@ -150,6 +150,9 @@ class TestTokens:
         assert verify_token(keys, token, now=1059.0).expires_at == 1060
         with pytest.raises(UnauthorizedError):
             verify_token(keys, token, now=1060.0)
+        for ttl in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(TenantConfigError):
+                mint_token(keys, "acme", {"embed"}, ttl_s=ttl)
 
     def test_survives_rotation_via_key_id(self):
         keys = MasterKeyMap({1: "master"})
@@ -287,6 +290,21 @@ class TestTenantQuota:
             QuotaPolicy.from_dict({"requests_per_minute": "fast"})
         with pytest.raises(TenantConfigError):
             QuotaPolicy.from_dict({"requests_per_minute": True})
+        for bad in ({"requests_per_minute": 0},
+                    {"documents_per_minute": -3},
+                    {"requests_per_minute": float("nan")},
+                    {"documents_per_minute": float("inf")},
+                    {"requests_per_minute": 10 ** 400},
+                    {"request_burst": 0},
+                    {"document_burst": 1.5},
+                    {"request_burst": True}):
+            with pytest.raises(TenantConfigError):
+                QuotaPolicy.from_dict(bad)
+        # The serve-issue benchmark's generous limits stay valid.
+        QuotaPolicy.from_dict({"requests_per_minute": 10 ** 6,
+                               "request_burst": 10 ** 6,
+                               "documents_per_minute": 10 ** 6,
+                               "document_burst": 10 ** 6})
 
 
 VALID_CONFIG = {
@@ -336,6 +354,18 @@ class TestTenantsConfig:
             bad={"surprise": True}),
         lambda raw: raw["tenants"].update(
             bad={"quota": {"surprise": 1}}),
+        lambda raw: raw["tenants"].update(
+            bad={"quota": {"requests_per_minute": 0}}),
+        lambda raw: raw["tenants"].update(
+            bad={"quota": {"documents_per_minute": -3}}),
+        lambda raw: raw["tenants"].update(
+            bad={"quota": {"request_burst": 0}}),
+        lambda raw: raw["tenants"].update(
+            bad={"quota": {"requests_per_minute": float("nan")}}),
+        lambda raw: raw["tenants"].update(
+            bad={"quota": {"documents_per_minute": float("inf")}}),
+        lambda raw: raw["tenants"].update(
+            bad={"quota": {"document_burst": 1.5}}),
     ])
     def test_invalid_configs_refused(self, mutate):
         raw = json.loads(json.dumps(VALID_CONFIG))
