@@ -87,7 +87,7 @@ from repro.core.record import WatermarkRecord, all_same_record
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
 from repro.errors import WmXMLError
-from repro.perf.profiler import profiled
+from repro.perf import profiled
 from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
 from repro.xmlmodel.parser import parse, parse_many

@@ -54,7 +54,7 @@ from repro.core.crypto import KeyedPRF
 from repro.datasets import bibliography, jobs, library
 from repro.errors import error_payload
 from repro.harness import EXPERIMENTS, ExperimentConfig
-from repro.perf import StageTimer, ThroughputReporter, use_timer
+from repro.perf import StageTimer, use_timer
 from repro.registry import RegistryUnavailableError
 from repro.semantics import (
     discover_fds,
@@ -315,22 +315,21 @@ def _run_detect(args: argparse.Namespace) -> int:
         shape = profile.shape(None)
     system = WmXMLSystem(args.key, alpha=args.alpha,
                          registry=_registry_for(args))
-    strategy = "indexed" if args.indexed else args.strategy
     if args.recipient:
-        return _detect_recorded(args, scheme, system, shape, strategy)
+        return _detect_recorded(args, scheme, system, shape)
     if not args.record:
         raise SystemExit("--record is required (or look one up with "
                          "--recipient and --registry)")
     record = WatermarkRecord.load(args.record)
     if len(args.input) > 1:
-        return _detect_batch(args, scheme, system, record, shape, strategy)
+        return _detect_batch(args, scheme, system, record, shape)
     timer = StageTimer()
     with use_timer(timer):
         with timer.stage("parse"):
             document = parse_file(args.input[0], strip_whitespace=True)
         outcome = system.detect(scheme, document, record,
                                 expected=args.message or None,
-                                shape=shape, strategy=strategy)
+                                shape=shape, strategy=args.strategy)
     if args.profile_stages:
         print(timer.render("detect pipeline stages"))
     print(outcome)
@@ -348,7 +347,7 @@ def _run_detect(args: argparse.Namespace) -> int:
 
 
 def _detect_recorded(args: argparse.Namespace, scheme: WatermarkingScheme,
-                     system: WmXMLSystem, shape, strategy: str) -> int:
+                     system: WmXMLSystem, shape) -> int:
     """Detect against the registry's persisted record for a recipient.
 
     No ``--record`` file needed: the newest ``wmxml-registry-record-v1``
@@ -361,7 +360,7 @@ def _detect_recorded(args: argparse.Namespace, scheme: WatermarkingScheme,
         document = parse_file(path, strip_whitespace=True)
         outcomes.append(system.detect_recorded(
             scheme, document, args.recipient, shape=shape,
-            strategy=strategy))
+            strategy=args.strategy))
     detected = 0
     for path, outcome in zip(args.input, outcomes):
         print(f"{path}: {outcome}")
@@ -383,7 +382,7 @@ def _detect_recorded(args: argparse.Namespace, scheme: WatermarkingScheme,
 
 def _detect_batch(args: argparse.Namespace, scheme: WatermarkingScheme,
                   system: WmXMLSystem, record: WatermarkRecord,
-                  shape, strategy: str) -> int:
+                  shape) -> int:
     """Check many suspected copies against one query-set record.
 
     The piracy-hunting batch: every input is judged by the same record,
@@ -402,7 +401,7 @@ def _detect_batch(args: argparse.Namespace, scheme: WatermarkingScheme,
             outcomes = system.detect_many(
                 scheme, [(text, record) for text in texts],
                 expected=args.message or None, shape=shape,
-                strategy=strategy, processes=args.processes)
+                strategy=args.strategy, processes=args.processes)
     if args.profile_stages:
         print(timer.render("batch detect stages"))
     detected = 0
@@ -856,41 +855,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Stage-timed embed/detect pipeline with throughput rates."""
-    profile = _profile(args.profile)
-    document = profile.generate(args.size, args.seed)
-    scheme = _scheme_for(args, profile, gamma=args.gamma)
-    system = WmXMLSystem(args.key)
-    pipeline = system.pipeline(scheme)
-    timer = StageTimer()
-    with use_timer(timer):
-        with timer.stage("embed (total)"):
-            result = pipeline.embed(document, args.message)
-        with timer.stage("detect (scan)"):
-            scan = pipeline.detect(result.document, result.record,
-                                   expected=args.message, strategy="scan")
-        with timer.stage("detect (indexed)"):
-            indexed = pipeline.detect(result.document, result.record,
-                                      expected=args.message,
-                                      strategy="indexed")
-    if not (scan.detected and indexed.detected):
-        print("warning: pipeline failed to detect its own watermark")
-    elements = document.count_elements()
-    print(timer.render(f"pipeline stages ({args.profile}, "
-                       f"{args.size} entities, {elements} elements)"))
-    reporter = ThroughputReporter()
-    reporter.add("embed", elements, timer.total_ms("embed (total)") / 1000,
-                 unit="elements")
-    reporter.add("detect-scan", len(result.record.queries),
-                 timer.total_ms("detect (scan)") / 1000, unit="queries")
-    reporter.add("detect-indexed", len(result.record.queries),
-                 timer.total_ms("detect (indexed)") / 1000, unit="queries")
-    print()
-    print(reporter.render())
-    return 0
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
     config = ExperimentConfig(books=args.size, seed=args.seed)
     if args.id == "all":
@@ -1012,8 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "vote-for-vote equivalence proven on every "
                         "profile) or per-query XPath scan (the "
                         "reference engine)")
-    detect.add_argument("--indexed", action="store_true",
-                        help="deprecated alias for --strategy indexed")
     detect.add_argument("--processes", type=int, default=None,
                         help="shard a multi-document batch over N worker "
                         "processes (parse + detect fused per document)")
@@ -1244,19 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="list the deterministic fault-injection points")
     faults.set_defaults(handler=cmd_faults)
-
-    perf = sub.add_parser("perf", help="stage-timed pipeline profile")
-    perf.add_argument("--profile", default="bibliography",
-                      choices=sorted(PROFILES))
-    perf.add_argument("--scheme", dest="scheme_file",
-                      help="declarative scheme.json deployment artefact")
-    perf.add_argument("--size", type=int, default=200)
-    perf.add_argument("--seed", type=int, default=42)
-    perf.add_argument("--gamma", type=int, default=2)
-    perf.add_argument("--key", "-k", default="wmxml-perf-key",
-                      type=_secret_key)
-    perf.add_argument("--message", "-m", default="(c) WmXML")
-    perf.set_defaults(handler=cmd_perf)
 
     experiment = sub.add_parser("experiment",
                                 help="run an E1-E10 experiment")

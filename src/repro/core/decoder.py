@@ -38,7 +38,7 @@ from repro.core.watermark import (
 )
 from repro.errors import RecordFormatError, WatermarkMessageError
 from repro.serialize import VersionedDocument
-from repro.perf.profiler import profiled
+from repro.perf import profiled
 from repro.rewriting.executor import LogicalExecutor
 from repro.rewriting.rewriter import compile_logical
 from repro.semantics.errors import RecordError

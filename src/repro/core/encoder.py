@@ -24,7 +24,7 @@ from repro.core.record import WatermarkQuery, WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.selection import SelectionStats, select_groups
 from repro.core.watermark import Watermark
-from repro.perf.profiler import profiled
+from repro.perf import profiled
 from repro.xmlmodel.tree import Document, Element, Text
 from repro.xpath import NodeLike
 from repro.xpath.values import AttributeNode

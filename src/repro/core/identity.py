@@ -28,7 +28,7 @@ from functools import cached_property
 from json.encoder import encode_basestring as _json_string
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from repro.perf.profiler import profiled
+from repro.perf import profiled
 from repro.rewriting.logical import LogicalQuery
 from repro.semantics.errors import RecordError
 from repro.semantics.records import Row

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from repro.core.crypto import KeyedPRF
 from repro.core.identity import CarrierGroup
-from repro.perf.profiler import profiled
+from repro.perf import profiled
 
 
 @dataclass

@@ -63,38 +63,15 @@ class RegistryBackend(abc.ABC):
 
     # -- atomic entries ------------------------------------------------------------
 
-    def append_entry(self, record: RegistryRecord,
-                     block: LedgerBlock) -> int:
-        """Persist a record and its ledger block as one unit.
-
-        The base implementation chains the two appends and undoes the
-        record if the block append fails; backends with real
-        transactions (SQLite) override with a single commit so a crash
-        can never tear the pair apart.
-        """
-        sequence = self.append_record(record)
-        try:
-            self.append_block(block)
-        except Exception:
-            self._discard_trailing_record(sequence)
-            raise
-        return sequence
-
+    @abc.abstractmethod
     def append_entries(self, entries) -> list[int]:
         """Persist many ``(record, block)`` pairs as one unit.
 
         ``entries`` is a sequence of pairs whose blocks are already
-        chained in order.  Backends with transactions override this
-        with a single commit — the ``embed_many`` batched-append path.
+        chained in order; a single append is a batch of one.  All or
+        nothing: a failure anywhere persists none of the pairs, so a
+        crash can never tear a record from its block.
         """
-        sequences = []
-        for record, block in entries:
-            sequences.append(self.append_entry(record, block))
-        return sequences
-
-    def _discard_trailing_record(self, sequence: int) -> None:
-        """Best-effort undo of a just-appended record (rollback shim
-        for backends without transactions).  Default: no-op."""
 
     # -- ledger ------------------------------------------------------------
 
@@ -198,30 +175,6 @@ class MemoryBackend(RegistryBackend):
     def recipients(self) -> list[str]:
         with self._lock:
             return sorted({record.recipient for record in self._records})
-
-    def append_entry(self, record: RegistryRecord,
-                     block: LedgerBlock) -> int:
-        # Both appends under one lock acquisition: concurrent readers
-        # never observe a record without its block, matching the
-        # SQLite backend's single-transaction semantics.
-        with self._lock:
-            if block.index != len(self._blocks):
-                raise RegistryError(
-                    f"ledger append out of order: block {block.index} "
-                    f"onto a {len(self._blocks)}-block chain")
-            sequence = len(self._records)
-            record.sequence = sequence
-            undo = len(self._records)
-            self._records.append(record)
-            try:
-                # Same seam the SQLite backend exposes between its two
-                # inserts; here the fault rolls back the record append.
-                fault_point("registry.append.torn")
-                self._blocks.append(block)
-            except Exception:
-                del self._records[undo:]
-                raise
-            return sequence
 
     def append_entries(self, entries) -> list[int]:
         with self._lock:

@@ -2,8 +2,8 @@
 
 It owns the invariant the backends cannot express alone: **every record
 append also appends its sealed ledger block, atomically** — one lock
-serialises appends, and the record/block pair goes to the backend as a
-single :meth:`~repro.registry.backend.RegistryBackend.append_entry`
+serialises appends, and the record/block pairs go to the backend as a
+single :meth:`~repro.registry.backend.RegistryBackend.append_entries`
 unit (one SQLite transaction on the durable backend), so the chain and
 the record corpus can never drift apart inside the append path even
 across a ``kill -9``.  Drift is what ``verify_chain`` exists to catch
@@ -45,6 +45,25 @@ MAX_RECOVERY_PASSES = 4
 
 def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _embed_entry(recipient: str, record: WatermarkRecord, document_xml: str,
+                 scheme_fingerprint: str, key_fingerprint: str, keying: str,
+                 issuer: str, tenant: Optional[str] = None,
+                 key_id: Optional[int] = None) -> RegistryRecord:
+    """The registry record of one embed, stamped now."""
+    return RegistryRecord(
+        recipient=recipient,
+        record=record,
+        document_hash=hash_document(document_xml),
+        scheme_fingerprint=scheme_fingerprint,
+        key_fingerprint=key_fingerprint,
+        keying=keying,
+        issuer=issuer,
+        created_at=_utcnow(),
+        tenant=tenant,
+        key_id=key_id,
+    )
 
 
 @dataclass
@@ -116,20 +135,9 @@ class WatermarkRegistry:
                      issuer: str, tenant: Optional[str] = None,
                      key_id: Optional[int] = None) -> RegistryRecord:
         """Persist one embed: registry record + sealed ledger block."""
-        entry = RegistryRecord(
-            recipient=recipient,
-            record=record,
-            document_hash=hash_document(document_xml),
-            scheme_fingerprint=scheme_fingerprint,
-            key_fingerprint=key_fingerprint,
-            keying=keying,
-            issuer=issuer,
-            created_at=_utcnow(),
-            tenant=tenant,
-            key_id=key_id,
-        )
-        self.append(entry)
-        return entry
+        return self.append(_embed_entry(
+            recipient, record, document_xml, scheme_fingerprint,
+            key_fingerprint, keying, issuer, tenant, key_id))
 
     def record_embed_many(self, embeds: Iterable[dict]
                           ) -> list[RegistryRecord]:
@@ -142,33 +150,16 @@ class WatermarkRegistry:
         retry after a 503 append-safe (no half-recorded batch to
         double-append onto).
         """
-        entries = [RegistryRecord(
-            recipient=embed["recipient"],
-            record=embed["record"],
-            document_hash=hash_document(embed["document_xml"]),
-            scheme_fingerprint=embed["scheme_fingerprint"],
-            key_fingerprint=embed["key_fingerprint"],
-            keying=embed["keying"],
-            issuer=embed["issuer"],
-            created_at=_utcnow(),
-            tenant=embed.get("tenant"),
-            key_id=embed.get("key_id"),
-        ) for embed in embeds]
-        return self.append_many(entries)
+        return self.append_many([_embed_entry(**embed) for embed in embeds])
 
     def append(self, entry: RegistryRecord) -> RegistryRecord:
         """Append a pre-built record and its ledger block atomically.
 
-        The pair goes to the backend as one unit (one SQLite
-        transaction), so a crash between the two inserts cannot leave
-        an orphan record or a dangling block.
+        A batch of one: the pair goes to the backend as one unit (one
+        SQLite transaction), so a crash between the two inserts cannot
+        leave an orphan record or a dangling block.
         """
-        self._require_sealer()
-        with self._append_lock:
-            previous = self.backend.last_block()
-            self.backend.append_entry(
-                entry, next_block(previous, entry, self._sealer))
-        return entry
+        return self.append_many([entry])[0]
 
     def append_many(self, entries: list[RegistryRecord]
                     ) -> list[RegistryRecord]:

@@ -22,8 +22,8 @@ The database runs in WAL mode with a busy timeout: a reader never
 blocks the appender, a second process waits instead of failing with
 ``database is locked``, and a ``kill -9`` mid-write rolls back to the
 last committed transaction on the next open.  On top of that,
-:meth:`SQLiteBackend.append_entry` commits a record **and** its ledger
-block in one transaction (and :meth:`append_entries` a whole batch),
+:meth:`SQLiteBackend.append_entries` commits records **and** their
+ledger blocks in one transaction (a single append is a batch of one),
 so the record corpus and the chain can never tear apart inside the
 append path — the ``registry.sqlite.commit`` / ``registry.append.torn``
 fault points exist to prove exactly that.
@@ -233,26 +233,15 @@ class SQLiteBackend(RegistryBackend):
         with self._lock, self._guarded("append"), self._conn:
             return self._insert_record(record)
 
-    def append_entry(self, record: RegistryRecord,
-                     block: LedgerBlock) -> int:
-        """Record + its ledger block in **one** transaction.
-
-        A crash (or an injected fault) anywhere inside rolls both rows
-        back together — no orphan record, no orphan block, ever.
-        """
-        with self._lock, self._guarded("append"), self._conn:
-            sequence = self._insert_record(record)
-            fault_point("registry.append.torn")
-            self._insert_block(block)
-            fault_point("registry.sqlite.commit")
-            return sequence
-
     def append_entries(self, entries) -> list[int]:
-        """A whole batch of (record, block) pairs in one transaction.
+        """(record, block) pairs in **one** transaction; a single
+        append is a batch of one.
 
-        The ``embed_many`` path: one fsync for the batch instead of one
-        per record, and a failure persists *nothing* — which is what
-        makes a client retry after a 503 append-safe.
+        A crash (or an injected fault) anywhere inside rolls every row
+        back together — no orphan record, no orphan block.  A batch
+        (the ``embed_many`` path) costs one fsync instead of one per
+        record, and a failure persists *nothing* — which is what makes
+        a client retry after a 503 append-safe.
         """
         with self._lock, self._guarded("append"), self._conn:
             sequences = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from repro.perf.profiler import profiled
+from repro.perf import profiled
 from repro.semantics.errors import RecordError
 from repro.semantics.nesting import LevelSpec, NestingSpec, require_name
 from repro.semantics.records import FieldSpec, RecordSpec, Row

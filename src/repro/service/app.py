@@ -61,7 +61,7 @@ from repro.registry import (RegistryNotConfiguredError,
                             RegistryUnavailableError, WatermarkRegistry)
 from repro.semantics.shape import DocumentShape
 from repro.errors import WmXMLError, error_code, http_status_for
-from repro.perf.timers import StageTimer
+from repro.perf import StageTimer
 from repro.service import protocol
 from repro.tenants import TenantDirectory
 from repro.tenants.errors import ForbiddenError, RateLimitedError

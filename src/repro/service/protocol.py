@@ -110,7 +110,8 @@ def parse_json(body: bytes) -> dict:
     """Bytes -> JSON object, or :class:`MalformedRequestError`."""
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as error:
         raise MalformedRequestError(
             f"request body is not valid JSON: {error}") from error
     if not isinstance(data, dict):

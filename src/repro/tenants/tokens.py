@@ -150,7 +150,7 @@ def verify_token(keys: MasterKeyMap, token: str,
         body = _b64decode(parts[1])
         presented = _b64decode(parts[2])
         claims = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, UnicodeDecodeError, RecursionError):
         raise UnauthorizedError("malformed bearer token") from None
     if not isinstance(claims, dict) \
             or claims.get("format") != TOKEN_FORMAT:

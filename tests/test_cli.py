@@ -1,6 +1,7 @@
 """End-to-end tests for the ``wmxml`` command-line tool."""
 
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,20 @@ def workspace(tmp_path):
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def _stage_column(out: str) -> list[str]:
+    """The stage names of the ``--profile-stages`` table in ``out``."""
+    lines = out.splitlines()
+    start = next(index for index, line in enumerate(lines)
+                 if line.split()[:2] == ["stage", "total-ms"])
+    names = []
+    for line in lines[start + 1:]:
+        row = re.fullmatch(r"(\S.*?)\s+\d+\.\d{3}\s+\d+\s+\d+\.\d{3}", line)
+        if row is None:
+            break
+        names.append(row.group(1))
+    return names
 
 
 class TestGenerate:
@@ -92,6 +107,27 @@ class TestEmbedDetectFlow:
                    "-r", str(record), "-k", "cli-secret", "-m", "(c) CLI",
                    "--shape", "publisher-centric")
         assert code == 0
+
+    def test_profile_stages_tables(self, workspace, capsys):
+        # The stage column of each --profile-stages table, in order.
+        data = self._generate(workspace)
+        marked = workspace / "marked.xml"
+        record = workspace / "record.json"
+        assert run("embed", "-i", str(data), "-o", str(marked),
+                   "-r", str(record), "-k", "cli-secret", "-m", "(c) CLI",
+                   "--profile-stages") == 0
+        assert _stage_column(capsys.readouterr().out) == [
+            "parse", "shape.shred", "identity.group", "selection.select",
+            "encoder.embed", "write"]
+        detect = ["detect", "-r", str(record), "-k", "cli-secret",
+                  "-m", "(c) CLI", "--profile-stages"]
+        assert run(*detect, "-i", str(marked)) == 0
+        assert _stage_column(capsys.readouterr().out) == [
+            "parse", "shape.shred", "decoder.detect"]
+        assert run(*detect, "-i", str(marked), str(marked),
+                   "--processes", "2") == 0
+        assert _stage_column(capsys.readouterr().out) == [
+            "api.detect_many", "detect batch"]
 
 
 class TestSchemeArtefactFlow:
@@ -185,7 +221,6 @@ class TestOtherCommands:
                      id="serve"),
         pytest.param(["trace", "-i", "{ws}/m.xml",
                       "--registry", "{ws}/r.db"], id="trace"),
-        pytest.param(["perf", "--size", "5"], id="perf"),
         pytest.param(["ledger", "verify", "--registry", "{ws}/r.db"],
                      id="ledger-verify"),
         pytest.param(["ledger", "recover", "--registry", "{ws}/r.db"],
@@ -196,6 +231,13 @@ class TestOtherCommands:
             run(*[arg.format(ws=workspace) for arg in argv], "--key", "")
         assert excinfo.value.code == 2
         assert "secret key must not be empty" in capsys.readouterr().err
+
+    def test_perf_is_not_a_command(self, capsys):
+        # E9 and --profile-stages carry the timings it used to print.
+        with pytest.raises(SystemExit) as excinfo:
+            run("perf", "--size", "5")
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
 
     def test_attack_kinds(self, workspace):
         data = workspace / "data.xml"

@@ -73,8 +73,9 @@ class TestExperimentRegistry:
             "e1", "e10", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"]
 
     def test_all_return_tables(self):
-        # Smoke-run the cheap experiments end to end on a tiny config.
-        for name in ("e1", "e2", "e3", "e4"):
+        # Smoke-run the cheap experiments end to end on a tiny config;
+        # e9 also asserts that scan and indexed detection agree.
+        for name in ("e1", "e2", "e3", "e4", "e9"):
             table = EXPERIMENTS[name](SMALL)
             assert isinstance(table, ResultTable)
             assert table.rows

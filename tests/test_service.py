@@ -357,6 +357,19 @@ def _put_scheme(**edit):
     return build
 
 
+def _nested_scheme_embed(marked):
+    """An embed whose ``scheme`` nests 5,000 arrays deep, past the depth
+    at which ``json.loads`` gives up."""
+    body = _request_body(scheme=0, document=marked["xml"], message="hi")
+    return "POST", "/v1/embed", body.replace(
+        b'"scheme": 0', b'"scheme": ' + b"[" * 5000 + b"]" * 5000)
+
+
+def _nested_scheme_put(marked):
+    """A scheme upload whose body nests 5,000 arrays deep."""
+    return "PUT", "/v1/schemes/broken", b"[" * 5000 + b"]" * 5000
+
+
 #: Client-controlled input that once reached the 500 ``internal-error``
 #: envelope (or, for a huge ``nbits``, ran the daemon out of memory):
 #: (id, request builder, the 4xx slug it must answer).
@@ -393,6 +406,10 @@ BAD_CLIENT_INPUT = [
      _put_scheme(price_params=[["fraction_digits", 1.5]]), "bad-scheme"),
     ("inline-scheme-tag", _embed_request(scheme=_scheme_with(tag=[])),
      "bad-scheme"),
+    ("embed-scheme-nested-5000-deep", _nested_scheme_embed,
+     "malformed-request"),
+    ("put-scheme-nested-5000-deep", _nested_scheme_put,
+     "malformed-request"),
 ]
 
 

@@ -17,6 +17,7 @@ The contracts ISSUE 10 promises:
   still 400s, and the stats/healthz payloads only *gain* ``version``.
 """
 
+import base64
 import json
 import time
 
@@ -123,6 +124,10 @@ class TestAuthGate:
 
     @pytest.mark.parametrize("header", [
         "Basic dXNlcjpwdw==", "Bearer", "Bearer ", "wmx1.x.y",
+        # Claims nested 5,000 arrays deep, past json.loads' depth.
+        pytest.param("Bearer wmx1." + base64.urlsafe_b64encode(
+            b"[" * 5000 + b"]" * 5000).decode() + ".c2ln",
+            id="nested-claims"),
     ])
     def test_malformed_authorization_header(self, stack, header):
         service, _, _ = stack
