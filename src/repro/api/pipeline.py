@@ -340,9 +340,13 @@ class Pipeline:
                                           output)
             except (RecursionError, parallel.BrokenProcessPool):
                 pass  # fall back to the serial path below
+        # A tree parsed here from raw XML is this call's own, so it is
+        # marked in place, as the pool workers mark theirs.
         results = [self._encoder.embed(document, watermark,
-                                       in_place=in_place)
-                   for document in _as_documents(batch, processes)]
+                                       in_place=in_place
+                                       or isinstance(item, str))
+                   for item, document in zip(
+                       batch, _as_documents(batch, processes))]
         if output == "xml":
             results = [
                 EmbeddingResult(document=None, record=result.record,

@@ -15,23 +15,15 @@ parse without recursion-limit tuning.  Supported syntax:
 * CDATA sections, comments and processing instructions,
 * well-formedness checks: tag matching, single root, unique attributes.
 
-Two correctness properties of the scanner beyond raw syntax:
-
-* **End-of-line normalization** (XML 1.0 §2.11): ``\\r\\n`` and bare
-  ``\\r`` in the input are normalised to ``\\n`` before any other
-  processing (including inside CDATA), exactly as a conformant
-  processor must.  Carriage returns that should *survive* a round-trip
-  are therefore serialised as ``&#13;`` (see
-  :mod:`repro.xmlmodel.serializer`) and come back as literal ``\\r``
-  through the character-reference path, which normalization leaves
-  alone.
-* **Direct construction into the indexed tree**: the per-element
-  child-tag index, the root's descendant (tag -> elements) index and
-  the root's document-order ranks are populated *during* the parse —
-  in exactly the pre-order the scanner walks — instead of being built
-  lazily by the first query and invalidated stamp-by-stamp afterwards.
-  A freshly parsed document answers indexed lookups with zero warm-up
-  walks.
+One correctness property of the scanner beyond raw syntax is
+**end-of-line normalization** (XML 1.0 §2.11): ``\\r\\n`` and bare
+``\\r`` in the input are normalised to ``\\n`` before any other
+processing (including inside CDATA), exactly as a conformant processor
+must.  Carriage returns that should *survive* a round-trip are
+therefore serialised as ``&#13;`` (see
+:mod:`repro.xmlmodel.serializer`) and come back as literal ``\\r``
+through the character-reference path, which normalization leaves
+alone.
 
 Namespace prefixes are treated as opaque parts of names — the paper's
 system operates on data-centric XML where no namespace processing is
@@ -106,19 +98,15 @@ def _normalize_eol(text: str) -> str:
 
 
 class _Scanner:
-    """One parse: scanning state plus the indexes built along the way."""
+    """One parse: the input text and the scan position."""
 
-    __slots__ = ("text", "pos", "length", "strip_whitespace",
-                 "_ranking", "_by_tag")
+    __slots__ = ("text", "pos", "length", "strip_whitespace")
 
     def __init__(self, text: str, strip_whitespace: bool) -> None:
         self.text = text
         self.pos = 0
         self.length = len(text)
         self.strip_whitespace = strip_whitespace
-        # Indexes populated while the root subtree is constructed.
-        self._ranking: dict = {}
-        self._by_tag: dict[str, list[Element]] = {}
 
     # -- errors ------------------------------------------------------------
 
@@ -209,21 +197,11 @@ class _Scanner:
         blank_element = Element._blank
         blank_text = Text._blank
         strip_whitespace = self.strip_whitespace
-        ranking = self._ranking
-        by_tag = self._by_tag
-        rank = 0
 
         root_start = self.pos
         root, closed, pos = self._parse_open_tag(root_start)
-        by_tag[root.tag] = [root]
-        ranking[id(root)] = rank
-        rank += 1
-        for name in root.attributes:
-            ranking[(id(root), name)] = rank
-            rank += 1
         self.pos = pos
         if closed:
-            self._seal(root)
             return root
 
         #: (element, start offset of its ``<``, text parts, ``</tag>``)
@@ -234,7 +212,6 @@ class _Scanner:
         end_literal = f"</{root.tag}>"
 
         def flush_text() -> None:
-            nonlocal rank
             value = "".join(parts)
             del parts[:]
             if strip_whitespace and not value.strip():
@@ -242,8 +219,6 @@ class _Scanner:
             node = blank_text(value)
             node.parent = current
             current.children.append(node)
-            ranking[id(node)] = rank
-            rank += 1
 
         while True:
             angle = find("<", pos)
@@ -276,7 +251,6 @@ class _Scanner:
                             f"mismatched end tag: expected </{current.tag}>, "
                             f"got </{match.group(1)}>", pos=current_start)
                     pos = match.end()
-                current._index_stamp = current._children_stamp
                 if not stack:
                     self.pos = pos
                     return root
@@ -290,8 +264,6 @@ class _Scanner:
                     pos = self.pos
                     node.parent = current
                     current.children.append(node)
-                    ranking[id(node)] = rank
-                    rank += 1
                 elif startswith("<![CDATA[", angle):
                     end = find("]]>", angle + 9)
                     if end < 0:
@@ -309,8 +281,6 @@ class _Scanner:
                 pos = self.pos
                 node.parent = current
                 current.children.append(node)
-                ranking[id(node)] = rank
-                rank += 1
             else:
                 # Child element.  The attribute-free form — the dominant
                 # shape in data-centric documents — is recognised with a
@@ -330,46 +300,11 @@ class _Scanner:
                     tag = child.tag
                 child.parent = current
                 current.children.append(child)
-                child_list = current._child_index.get(tag)
-                if child_list is None:
-                    current._child_index[tag] = [child]
-                else:
-                    child_list.append(child)
-                tag_list = by_tag.get(tag)
-                if tag_list is None:
-                    by_tag[tag] = [child]
-                else:
-                    tag_list.append(child)
-                ranking[id(child)] = rank
-                rank += 1
-                if child.attributes:
-                    for name in child.attributes:
-                        ranking[(id(child), name)] = rank
-                        rank += 1
-                if closed:
-                    child._index_stamp = 0
-                else:
+                if not closed:
                     stack.append((current, current_start, parts,
                                   end_literal))
                     current, current_start, parts = child, angle, []
                     end_literal = f"</{tag}>"
-
-    @staticmethod
-    def _seal(element: Element) -> None:
-        """Mark the directly-built child-tag index as current.
-
-        Construction bypassed :meth:`Element.append`, so the stamps are
-        still at their initial value; aligning ``_index_stamp`` with
-        ``_children_stamp`` makes the index the parser maintained the
-        one :meth:`Element._tag_index` serves — until the first real
-        mutation bumps the stamp and rebuilds it, exactly as before.
-        """
-        element._index_stamp = element._children_stamp
-
-    def _finish_root_indexes(self, root: Element) -> None:
-        """Install the parse-order caches on the freshly built root."""
-        root._order_cache = (root._subtree_stamp, self._ranking)
-        root._descendant_cache = (root._subtree_stamp, self._by_tag)
 
     # -- tags ------------------------------------------------------------
 
@@ -598,10 +533,8 @@ class XMLParser:
         """Parse ``text`` into a :class:`Document`."""
         if not isinstance(text, str):
             raise TypeError("parse() expects str input")
-        scanner = _Scanner(_normalize_eol(text), self.strip_whitespace)
-        document = scanner.parse_document()
-        scanner._finish_root_indexes(document.root)
-        return document
+        return _Scanner(_normalize_eol(text),
+                        self.strip_whitespace).parse_document()
 
     def parse_many(self, texts: Iterable[str],
                    processes: Optional[int] = None) -> list[Document]:

@@ -20,7 +20,7 @@ normalization.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Iterator, Union
 
 from repro.xmlmodel.tree import (
     Comment,
@@ -82,36 +82,43 @@ def _serialize_element(element: Element, parts: list[str]) -> None:
     # here are dispatch avoidance: the dominant ``<tag>text</tag>``
     # leaf renders as one append with no per-child function call, and
     # mixed children are type-switched inline instead of going through
-    # ``_serialize_node``.
-    tag = element.tag
-    attributes = element.attributes
-    if attributes:
-        open_parts = [f"<{tag}"]
-        for name, value in attributes.items():
-            open_parts.append(f' {name}="{escape_attribute(value)}"')
-        open_tag = "".join(open_parts)
-    else:
-        open_tag = f"<{tag}"
-    children = element.children
-    if not children:
-        parts.append(open_tag + "/>")
-        return
-    if len(children) == 1:
-        only = children[0]
-        if type(only) is Text:
-            parts.append(
-                f"{open_tag}>{escape_text(only.value)}</{tag}>")
-            return
-    parts.append(open_tag + ">")
-    for child in children:
-        kind = type(child)
-        if kind is Text:
-            parts.append(escape_text(child.value))
-        elif kind is Element:
-            _serialize_element(child, parts)
+    # ``_serialize_node``.  Open elements wait on an explicit stack of
+    # (remaining children, end tag), not on recursion, so any depth the
+    # scanner parses also serialises; the bottom frame holds ``element``
+    # itself and closes with nothing.
+    append = parts.append
+    open_elements: list[tuple[Iterator[Node], str]] = [(iter((element,)), "")]
+    while open_elements:
+        remaining, end_tag = open_elements[-1]
+        for node in remaining:
+            kind = type(node)
+            if kind is Text:
+                append(escape_text(node.value))
+                continue
+            if kind is not Element:
+                _serialize_node(node, parts)
+                continue
+            tag = node.tag
+            attributes = node.attributes
+            if attributes:
+                open_parts = [f"<{tag}"]
+                for name, value in attributes.items():
+                    open_parts.append(f' {name}="{escape_attribute(value)}"')
+                open_tag = "".join(open_parts)
+            else:
+                open_tag = f"<{tag}"
+            children = node.children
+            if not children:
+                append(open_tag + "/>")
+            elif len(children) == 1 and type(children[0]) is Text:
+                append(f"{open_tag}>{escape_text(children[0].value)}</{tag}>")
+            else:
+                append(open_tag + ">")
+                open_elements.append((iter(children), f"</{tag}>"))
+                break
         else:
-            _serialize_node(child, parts)
-    parts.append(f"</{tag}>")
+            open_elements.pop()
+            append(end_tag)
 
 
 def serialize(node: Union[Document, Node], xml_declaration: bool = False) -> str:

@@ -102,8 +102,8 @@ class Node:
         parent = self.parent
         if parent is not None:
             parent.children.remove(self)
+            parent._child_index = None
             self.parent = None
-            parent._mutated()
         return self
 
     # -- string value ------------------------------------------------------------
@@ -206,12 +206,13 @@ class Element(Node):
 
     Attributes are stored in a plain dict (insertion-ordered in Python 3.7+)
     mapping attribute name to string value.  Children may be any
-    :class:`Node` subclass; mixed content is supported.
+    :class:`Node` subclass; mixed content is supported.  Change
+    ``children`` only through :meth:`append`, :meth:`insert` and
+    :meth:`Node.detach` (or the helpers built on them), which reset the
+    child-tag index.
     """
 
-    __slots__ = ("tag", "attributes", "children", "_children_stamp",
-                 "_subtree_stamp", "_child_index", "_index_stamp",
-                 "_order_cache", "_descendant_cache")
+    __slots__ = ("tag", "attributes", "children", "_child_index")
 
     def __init__(
         self,
@@ -222,14 +223,9 @@ class Element(Node):
     ) -> None:
         super().__init__()
         self.tag = validate_name(tag)
-        # Index/cache bookkeeping must exist before any child is appended.
-        self._children_stamp = 0
-        self._subtree_stamp = 0
+        #: tag -> direct element children; built on first lookup, reset
+        #: to None whenever ``children`` changes.
         self._child_index: Optional[dict[str, list["Element"]]] = None
-        self._index_stamp = -1
-        self._order_cache: Optional[tuple[int, dict]] = None
-        self._descendant_cache: Optional[
-            tuple[int, dict[str, list["Element"]]]] = None
         self.attributes: dict[str, str] = {}
         if attributes:
             for name, value in attributes.items():
@@ -243,63 +239,21 @@ class Element(Node):
 
     @classmethod
     def _blank(cls, tag: str) -> "Element":
-        """Fast construction for the parser (tag already validated).
+        """Fast construction for a name already known to be valid.
 
         The scanner's tokenizer admits only names that also satisfy
         :func:`validate_name` (and checks the reserved bare ``xml``
-        itself), so this skips re-validation and the keyword plumbing
-        of ``__init__`` while producing the identical initial state —
-        except ``_child_index`` starts as a live empty dict the parser
-        maintains directly.
+        itself), and :meth:`copy` clones names already in a tree, so
+        this skips re-validation and the keyword plumbing of
+        ``__init__`` while producing the identical initial state.
         """
         element = cls.__new__(cls)
         element.parent = None
         element.tag = tag
         element.attributes = {}
         element.children = []
-        element._children_stamp = 0
-        element._subtree_stamp = 0
-        element._child_index = {}
-        element._index_stamp = -1
-        element._order_cache = None
-        element._descendant_cache = None
+        element._child_index = None
         return element
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Slot state with the ``id()``-keyed order cache dropped.
-
-        Document-order ranks are keyed by object identity, which does
-        not survive a trip through pickle (a ``parse_many`` process-pool
-        worker's ids mean nothing to the receiving process), so the
-        cache is shed here and lazily rebuilt on first use.  The
-        child-tag and descendant indexes hold node *references* — pickle
-        preserves those consistently — so they travel as-is.
-        """
-        state = {slot: getattr(self, slot) for slot in _ELEMENT_SLOTS}
-        state["_order_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-    # -- cache invalidation -----------------------------------------------------
-
-    def _mutated(self) -> None:
-        """Record a structural change under this element.
-
-        Bumps the local children stamp (invalidating the child-tag
-        index) and the subtree stamp of this element and every ancestor
-        (invalidating cached document-order keys), so lazily built
-        indexes are rebuilt on next use.
-        """
-        self._children_stamp += 1
-        node: Optional[Element] = self
-        while node is not None:
-            node._subtree_stamp += 1
-            node = node.parent
 
     # -- attribute access ------------------------------------------------------
 
@@ -308,9 +262,6 @@ class Element(Node):
         validate_name(name)
         if not isinstance(value, str):
             value = str(value)
-        if name not in self.attributes:
-            # A new attribute occupies a document-order slot.
-            self._mutated()
         self.attributes[name] = value
 
     def get_attribute(self, name: str, default: Optional[str] = None) -> Optional[str]:
@@ -321,7 +272,6 @@ class Element(Node):
         """Delete attribute ``name`` if present."""
         if name in self.attributes:
             del self.attributes[name]
-            self._mutated()
 
     # -- child manipulation ------------------------------------------------------
 
@@ -333,7 +283,7 @@ class Element(Node):
             raise XMLTreeError("node already has a parent; detach it first")
         node.parent = self
         self.children.append(node)
-        self._mutated()
+        self._child_index = None
         return node
 
     def insert(self, index: int, node: Node) -> Node:
@@ -342,7 +292,7 @@ class Element(Node):
             raise XMLTreeError("node already has a parent; detach it first")
         node.parent = self
         self.children.insert(index, node)
-        self._mutated()
+        self._child_index = None
         return node
 
     def remove(self, node: Node) -> Node:
@@ -434,15 +384,15 @@ class Element(Node):
                 yield node
 
     def _tag_index(self) -> dict[str, list["Element"]]:
-        """tag -> direct element children, rebuilt lazily after mutation."""
-        if self._child_index is None or self._index_stamp != self._children_stamp:
-            index: dict[str, list[Element]] = {}
+        """tag -> direct element children, built on first use."""
+        index = self._child_index
+        if index is None:
+            index = {}
             for child in self.children:
                 if isinstance(child, Element):
                     index.setdefault(child.tag, []).append(child)
             self._child_index = index
-            self._index_stamp = self._children_stamp
-        return self._child_index
+        return index
 
     def children_by_tag(self, tag: str) -> list["Element"]:
         """Direct element children with ``tag`` (shared indexed list).
@@ -472,35 +422,14 @@ class Element(Node):
             return default
         return child.text
 
-    def descendants_by_tag(self, tag: str) -> list["Element"]:
-        """Descendant-or-self elements with ``tag``, in document order.
-
-        Served from a per-subtree cache (tag -> elements) rebuilt after
-        any structural mutation below this element.  The returned list
-        is the cache's own — callers must not mutate it.
-        """
-        cache = self._descendant_cache
-        if cache is None or cache[0] != self._subtree_stamp:
-            by_tag: dict[str, list[Element]] = {}
-            for node in self.iter():
-                if isinstance(node, Element):
-                    by_tag.setdefault(node.tag, []).append(node)
-            cache = (self._subtree_stamp, by_tag)
-            self._descendant_cache = cache
-        return cache[1].get(tag, _NO_ELEMENTS)
-
     def order_index(self) -> dict:
-        """Document-order ranks for this subtree, cached until mutation.
+        """Document-order ranks for this subtree, from a fresh walk.
 
         Maps ``id(node) -> rank`` for every node under (and including)
         this element, and ``(id(element), attribute_name) -> rank`` for
         attribute slots (attributes rank directly after their owner, as
-        the XPath data model requires).  The dict is rebuilt lazily when
-        the subtree stamp has moved — i.e. after any structural change.
+        the XPath data model requires).
         """
-        cache = self._order_cache
-        if cache is not None and cache[0] == self._subtree_stamp:
-            return cache[1]
         ranking: dict = {}
         rank = 0
         for node in self.iter():
@@ -510,7 +439,6 @@ class Element(Node):
                 for name in node.attributes:
                     ranking[(id(node), name)] = rank
                     rank += 1
-        self._order_cache = (self._subtree_stamp, ranking)
         return ranking
 
     # -- structure --------------------------------------------------------------
@@ -555,23 +483,28 @@ class Element(Node):
         return all(a.equals(b) for a, b in zip(mine, theirs))
 
     def copy(self) -> "Element":
-        clone = Element(self.tag, attributes=dict(self.attributes))
-        for child in self.children:
-            clone.append(child.copy())
+        # An explicit stack, not recursion, so any depth the scanner
+        # parses also copies.
+        blank = Element._blank
+        clone = blank(self.tag)
+        clone.attributes = dict(self.attributes)
+        stack = [(self, clone)]
+        while stack:
+            source, target = stack.pop()
+            children = target.children
+            for child in source.children:
+                if isinstance(child, Element):
+                    copied = blank(child.tag)
+                    copied.attributes = dict(child.attributes)
+                    stack.append((child, copied))
+                else:
+                    copied = child.copy()
+                copied.parent = target
+                children.append(copied)
         return clone
 
     def __repr__(self) -> str:
         return f"Element({self.tag!r}, attrs={len(self.attributes)}, children={len(self.children)})"
-
-
-#: Every slot an Element instance owns (its own plus Node's), resolved
-#: once — __getstate__ runs per node when process-pool workers ship
-#: parsed trees back, so the MRO walk must not happen per pickle.
-_ELEMENT_SLOTS = tuple(
-    slot
-    for klass in Element.__mro__
-    for slot in getattr(klass, "__slots__", ())
-)
 
 
 def _significant_children(element: Element) -> list[Node]:
@@ -653,10 +586,8 @@ class Document:
 def document_order_key(document: Document) -> Callable[[Node], int]:
     """Return a function mapping nodes to their document-order rank.
 
-    The XPath evaluator needs stable document order for node-set results;
-    the rank dict is served from the root's cached :meth:`Element.order_index`
-    (rebuilt only after structural mutation), keeping sorting O(n log n)
-    without a fresh walk per sort.
+    The ranks come from one walk of the tree (:meth:`Element.order_index`)
+    when this is called, so a key reflects the tree as it was then.
     """
     order = document.root.order_index()
     total = len(order)

@@ -167,9 +167,9 @@ def _start_absolute(
 
 
 def _descendant_matches(root: Element, test: ast.Expression) -> list[NodeLike]:
-    """Descendant-or-self nodes of ``root`` matching ``test`` (indexed)."""
+    """Descendant-or-self nodes of ``root`` matching ``test``."""
     if isinstance(test, ast.NameTest) and test.name != "*":
-        return list(root.descendants_by_tag(test.name))
+        return list(root.iter_elements(test.name))
     return [
         node for node in _descendants_or_self(root)
         if _test_matches(test, node)
@@ -430,7 +430,7 @@ def _axis_candidates(step: ast.Step, node: NodeLike) -> Iterator[NodeLike]:
         test = step.test
         if isinstance(node, Element) and isinstance(test, ast.NameTest) \
                 and test.name != "*":
-            yield from node.descendants_by_tag(test.name)
+            yield from node.iter_elements(test.name)
         else:
             for candidate in _descendants_or_self(node):
                 if _test_matches(test, candidate):
@@ -439,7 +439,7 @@ def _axis_candidates(step: ast.Step, node: NodeLike) -> Iterator[NodeLike]:
         test = step.test
         if isinstance(node, Element) and isinstance(test, ast.NameTest) \
                 and test.name != "*":
-            for candidate in node.descendants_by_tag(test.name):
+            for candidate in node.iter_elements(test.name):
                 if candidate is not node:
                     yield candidate
         else:

@@ -454,6 +454,25 @@ class TestClientInputIsNeverAServerFault:
                                          headers)
         assert "broken" not in listing["schemes"]
 
+    def test_deeply_nested_document_embeds_and_detects(self, any_mode):
+        service, headers, _ = any_mode
+        chain = "<note>" + "<d>" * 1000 + "</d>" * 1000 + "</note>"
+        text = serialize(bibliography.generate_document(
+            bibliography.BibliographyConfig(books=12, seed=1234)))
+        text = text.replace("</book>", chain + "</book>", 1)
+        status, marked, _ = service.dispatch(
+            "POST", "/v1/embed",
+            _request_body(scheme="books", document=text, message="hi"),
+            headers)
+        assert status == 200, marked
+        status, payload, _ = service.dispatch(
+            "POST", "/v1/detect",
+            _request_body(scheme="books", document=marked["xml"],
+                          record=marked["record"], expected="hi"),
+            headers)
+        assert status == 200, payload
+        assert payload["result"]["detected"] is True
+
 
 class TestGoldenVectorsThroughHTTP:
     """Client and pipeline are interchangeable, bit for bit."""

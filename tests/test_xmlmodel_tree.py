@@ -217,6 +217,37 @@ class TestTraversal:
         assert book.find("title").is_leaf()
 
 
+#: Every way to change an element's children, applied to the sample root.
+CHILD_MUTATIONS = {
+    "append": lambda db: db.append(Element("book")),
+    "add_child": lambda db: db.add_child("title", text="T3"),
+    "insert": lambda db: db.insert(0, Element("title")),
+    "remove": lambda db: db.remove(db.children[0]),
+    "detach": lambda db: db.children[-1].detach(),
+    "replace": lambda db: db.replace(db.children[0], Element("year")),
+    "clear_children": lambda db: db.clear_children(),
+    "set_text": lambda db: db.set_text("loose"),
+}
+
+
+class TestChildIndexFollowsMutations:
+    TAGS = ("book", "title", "year", "missing")
+
+    @pytest.mark.parametrize("mutate", list(CHILD_MUTATIONS.values()),
+                             ids=list(CHILD_MUTATIONS))
+    def test_lookups_match_a_fresh_scan(self, mutate):
+        db = build_sample().root
+        db.add_child("title", text="T0")
+        for tag in self.TAGS:
+            db.children_by_tag(tag)  # build the index before the change
+        mutate(db)
+        for tag in self.TAGS:
+            scan = [child for child in db.children
+                    if isinstance(child, Element) and child.tag == tag]
+            assert db.children_by_tag(tag) == scan
+            assert db.find(tag) is (scan[0] if scan else None)
+
+
 class TestPath:
     def test_positional_paths(self):
         doc = build_sample()

@@ -3,7 +3,7 @@ corner cases not exercised by the main test files."""
 
 import pytest
 
-from repro.xmlmodel import parse
+from repro.xmlmodel import Element, document_order_key, parse
 from repro.xpath import (
     XPathTypeError,
     compile_xpath,
@@ -152,3 +152,34 @@ class TestDetachedAndSubtreeContexts:
         attrs = select(DOC, "//section/@name")
         parents = select(attrs[0], "..")
         assert parents[0].tag == "section"
+
+
+class TestQueriesFollowMutations:
+    """``//`` and ``|`` answer for the tree as it is when they run."""
+
+    @staticmethod
+    def _texts(doc, path):
+        return [node.string_value() for node in select(doc, path)]
+
+    def test_appended_and_detached_nodes(self):
+        doc = parse("<db><book><title>A</title><year>1</year></book>"
+                    "<book><title>B</title></book></db>")
+        first, second = doc.root.children
+        assert self._texts(doc, "//title") == ["A", "B"]
+        assert self._texts(doc, "//year | //title") == ["A", "1", "B"]
+        foreign = Element("foreign")
+
+        added = second.add_child("title", text="C")
+        assert self._texts(doc, "//title") == ["A", "B", "C"]
+        assert self._texts(doc, "//year | //title") == ["A", "1", "B", "C"]
+        key = document_order_key(doc)
+        ranks = [key(node) for node in doc.iter()]
+        assert ranks == sorted(set(ranks))
+        assert key(second) < key(added) < key(foreign)
+
+        first.detach()
+        assert self._texts(doc, "//title") == ["B", "C"]
+        assert self._texts(doc, "//year | //title") == ["B", "C"]
+        key = document_order_key(doc)
+        assert key(first) == key(foreign)
+        assert key(doc.root) < key(second) < key(added) < key(foreign)
