@@ -6,7 +6,10 @@ deployment story: start ``wmxml serve`` with a SQLite registry, issue
 the daemon**, start a fresh one over the same database file, then
 majority-collude three recipients' copies of the shared corpus
 document and assert that ``POST /v1/trace`` accuses a true colluder,
-that ``GET /v1/ledger/verify`` still reports an intact chain, and that
+that a second trace answers the same verdicts from the records the
+first one decoded, that ``GET /v1/ledger/verify`` still reports an
+intact chain, that rewriting one record's payload in the database file
+under the running daemon makes it answer ``chain-broken``, and that
 both daemon lifetimes exit 0 on SIGTERM.
 
 Run from the repo root::
@@ -16,7 +19,9 @@ Run from the repo root::
 
 from __future__ import annotations
 
+import json
 import os
+import sqlite3
 import sys
 import tempfile
 
@@ -25,7 +30,7 @@ sys.path.insert(0, os.path.join(REPO, "src"))
 
 from repro.api import CollusionAttack  # noqa: E402
 from repro.datasets import bibliography  # noqa: E402
-from repro.service import WmXMLClient  # noqa: E402
+from repro.service import RemoteServiceError, WmXMLClient  # noqa: E402
 from repro.xmlmodel import parse, serialize  # noqa: E402
 
 from service_smoke import (  # noqa: E402
@@ -106,6 +111,10 @@ def main() -> int:
             print(f"trace ok: accused {trace.accused!r}, "
                   f"prime suspect {trace.prime_suspect!r} "
                   f"(colluders were {list(COLLUDERS)!r})")
+            # The second trace reuses the records the first decoded.
+            again = client.trace(leak)
+            assert again.to_dict() == trace.to_dict(), again.to_dict()
+            print("second trace ok: identical verdicts")
 
             report = client.verify_ledger()
             assert report["intact"] is True, report
@@ -113,6 +122,28 @@ def main() -> int:
             assert report["blocks"] == total, report
             print(f"ledger ok: {report['blocks']} sealed blocks intact "
                   "after restart")
+
+            # Rewrite one record under the running daemon: the decode
+            # it holds must not hide the change from the ledger check.
+            conn = sqlite3.connect(registry_path)
+            payload = json.loads(conn.execute(
+                "SELECT payload FROM records WHERE sequence = 0"
+            ).fetchone()[0])
+            payload["recipient"] = "mallory"
+            conn.execute("UPDATE records SET payload = ?, recipient = ? "
+                         "WHERE sequence = 0",
+                         (json.dumps(payload), "mallory"))
+            conn.commit()
+            conn.close()
+            try:
+                client.verify_ledger()
+            except RemoteServiceError as error:
+                assert error.code == "chain-broken", error.code
+            else:
+                raise AssertionError("a rewritten row left the ledger "
+                                     "verifying intact")
+            print("tamper ok: a row rewritten under the live daemon "
+                  "answers chain-broken")
         finally:
             returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"

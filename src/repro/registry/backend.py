@@ -40,7 +40,12 @@ class RegistryBackend(abc.ABC):
 
     @abc.abstractmethod
     def get_record(self, sequence: int) -> Optional[RegistryRecord]:
-        """The record at ``sequence``, or ``None``."""
+        """The record at ``sequence``, or ``None``.
+
+        The returned record may be shared with other callers (both
+        backends hand out the objects they hold), so treat it as
+        read-only.
+        """
 
     @abc.abstractmethod
     def find_records(self, recipient: Optional[str] = None,
@@ -55,6 +60,9 @@ class RegistryBackend(abc.ABC):
         a record with no tenant stamp belongs to the "" namespace, so
         pre-tenancy rows never leak into any named tenant's view.
         ``None`` (the default) disables the filter entirely.
+
+        As with :meth:`get_record`, the returned records may be shared
+        with other callers and must be treated as read-only.
         """
 
     @abc.abstractmethod

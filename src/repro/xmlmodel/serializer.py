@@ -140,56 +140,67 @@ def serialize(node: Union[Document, Node], xml_declaration: bool = False) -> str
 
 
 def _pretty_node(node: Node, parts: list[str], depth: int, indent: str) -> None:
-    pad = indent * depth
-    if isinstance(node, Text):
-        stripped = node.value.strip()
-        if stripped:
-            parts.append(f"{pad}{escape_text(stripped)}\n")
-        return
-    if isinstance(node, Comment):
-        parts.append(f"{pad}<!--{node.value}-->\n")
-        return
-    if isinstance(node, ProcessingInstruction):
-        data = f" {node.data}" if node.data else ""
-        parts.append(f"{pad}<?{node.target}{data}?>\n")
-        return
-    assert isinstance(node, Element)
-    open_tag = [f"{pad}<{node.tag}"]
-    for name, value in node.attributes.items():
-        open_tag.append(f' {name}="{escape_attribute(value)}"')
-    significant = [
-        child
-        for child in node.children
-        if not (isinstance(child, Text) and not child.value.strip())
-    ]
-    if not significant:
-        open_tag.append("/>\n")
+    # An explicit stack, not recursion, so any depth the scanner parses
+    # also pretty-prints.  An entry is either a (node, depth) still to
+    # render or the closing-tag line of an element whose children sit
+    # above it on the stack.
+    pending: list[Union[tuple[Node, int], str]] = [(node, depth)]
+    while pending:
+        entry = pending.pop()
+        if isinstance(entry, str):
+            parts.append(entry)
+            continue
+        node, depth = entry
+        pad = indent * depth
+        if isinstance(node, Text):
+            stripped = node.value.strip()
+            if stripped:
+                parts.append(f"{pad}{escape_text(stripped)}\n")
+            continue
+        if isinstance(node, Comment):
+            parts.append(f"{pad}<!--{node.value}-->\n")
+            continue
+        if isinstance(node, ProcessingInstruction):
+            data = f" {node.data}" if node.data else ""
+            parts.append(f"{pad}<?{node.target}{data}?>\n")
+            continue
+        assert isinstance(node, Element)
+        open_tag = [f"{pad}<{node.tag}"]
+        for name, value in node.attributes.items():
+            open_tag.append(f' {name}="{escape_attribute(value)}"')
+        significant = [
+            child
+            for child in node.children
+            if not (isinstance(child, Text) and not child.value.strip())
+        ]
+        if not significant:
+            open_tag.append("/>\n")
+            parts.append("".join(open_tag))
+            continue
+        has_text = any(isinstance(child, Text) for child in significant)
+        if has_text and all(isinstance(child, Text) for child in significant):
+            # Text-only element: inline the *full* text run, including
+            # any whitespace-only nodes between significant runs — they
+            # are part of the content once the runs coalesce.
+            text = "".join(child.value for child in node.children
+                           if isinstance(child, Text))
+            open_tag.append(f">{escape_text(text)}</{node.tag}>\n")
+            parts.append("".join(open_tag))
+            continue
+        if has_text:
+            # Mixed content: indentation would inject whitespace between
+            # text runs and change the content, so emit the body
+            # compactly.
+            open_tag.append(">")
+            for child in node.children:
+                _serialize_node(child, open_tag)
+            open_tag.append(f"</{node.tag}>\n")
+            parts.append("".join(open_tag))
+            continue
+        open_tag.append(">\n")
         parts.append("".join(open_tag))
-        return
-    has_text = any(isinstance(child, Text) for child in significant)
-    if has_text and all(isinstance(child, Text) for child in significant):
-        # Text-only element: inline the *full* text run, including any
-        # whitespace-only nodes between significant runs — they are part
-        # of the content once the runs coalesce.
-        text = "".join(child.value for child in node.children
-                       if isinstance(child, Text))
-        open_tag.append(f">{escape_text(text)}</{node.tag}>\n")
-        parts.append("".join(open_tag))
-        return
-    if has_text:
-        # Mixed content: indentation would inject whitespace between
-        # text runs and change the content, so emit the body compactly.
-        open_tag.append(">")
-        for child in node.children:
-            _serialize_node(child, open_tag)
-        open_tag.append(f"</{node.tag}>\n")
-        parts.append("".join(open_tag))
-        return
-    open_tag.append(">\n")
-    parts.append("".join(open_tag))
-    for child in significant:
-        _pretty_node(child, parts, depth + 1, indent)
-    parts.append(f"{pad}</{node.tag}>\n")
+        pending.append(f"{pad}</{node.tag}>\n")
+        pending.extend((child, depth + 1) for child in reversed(significant))
 
 
 def pretty(node: Union[Document, Node], indent: str = "  ",

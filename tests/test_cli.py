@@ -71,6 +71,24 @@ class TestEmbedDetectFlow:
         assert code == 0
         assert "DETECTED" in capsys.readouterr().out
 
+    def test_deep_document_embeds_and_detects(self, workspace, capsys):
+        # A 1,000-deep chain in one book: writing the marked copy
+        # (pretty-printed) must not recurse once per level.
+        data = workspace / "deep.xml"
+        run("generate", "--profile", "bibliography", "--size", "12",
+            "-o", str(data))
+        chain = "<note>" * 1000 + "</note>" * 1000
+        data.write_text(data.read_text().replace(
+            "</book>", chain + "</book>", 1))
+        marked = workspace / "marked.xml"
+        record = workspace / "record.json"
+        assert run("embed", "-i", str(data), "-o", str(marked),
+                   "-r", str(record), "-k", "cli-secret",
+                   "-m", "(c) CLI") == 0
+        assert run("detect", "-i", str(marked), "-r", str(record),
+                   "-k", "cli-secret", "-m", "(c) CLI") == 0
+        assert "DETECTED" in capsys.readouterr().out
+
     def test_wrong_key_exits_nonzero(self, workspace, capsys):
         data = self._generate(workspace)
         marked = workspace / "marked.xml"

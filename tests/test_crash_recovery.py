@@ -282,6 +282,29 @@ class TestReopenRecovery:
         assert kept["payload"]["recipient"] == "orphan"
         registry.close()
 
+    def test_reused_sequence_decodes_afresh(self, tmp_path):
+        """A reader that decoded the orphan must see bob at its sequence
+        once recovery has quarantined the orphan and bob reused it."""
+        path = str(tmp_path / "reg.db")
+        reader = _registry(SQLiteBackend(path))
+        reader.append(_registry_record("alice"))
+        reader.backend.append_record(_registry_record("orphan", "<o/>"))
+        assert [(r.sequence, r.recipient) for r in reader.records()] == \
+            [(0, "alice"), (1, "orphan")]
+        assert reader.backend.get_record(1).recipient == "orphan"
+
+        recovered = WatermarkRegistry.open(path, sealer=SEALER)
+        assert [a["kind"] for a in recovered.last_recovery.actions] == \
+            ["record"]
+        recovered.append(_registry_record("bob", "<b/>"))
+        recovered.close()
+
+        assert [(r.sequence, r.recipient) for r in reader.records()] == \
+            [(0, "alice"), (1, "bob")]
+        assert reader.backend.get_record(1).recipient == "bob"
+        assert reader.verify_chain().intact
+        reader.close()
+
     def test_orphan_trailing_block_is_quarantined(self, tmp_path):
         path = str(tmp_path / "reg.db")
         registry = _registry(SQLiteBackend(path))

@@ -21,6 +21,8 @@ import dataclasses
 import io
 import json
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -44,6 +46,7 @@ from repro.registry import (
     next_block,
     verify_chain,
 )
+from repro.registry import sqlite as sqlite_backend
 
 SEALER = KeyedPRF("registry-test-key")
 
@@ -427,3 +430,117 @@ class TestExportImport:
         path = str(tmp_path / "current.db")
         SQLiteBackend(path).close()
         SQLiteBackend(path).close()  # reopening the same version is fine
+
+
+# ---------------------------------------------------------------------------
+# SQLite decode reuse: exact, bounded, safe under concurrent readers
+# ---------------------------------------------------------------------------
+
+def _fresh_decodes(path: str) -> dict:
+    """Every stored row decoded anew, through a connection of its own."""
+    conn = sqlite3.connect(path)
+    try:
+        return {sequence: RegistryRecord.from_dict(json.loads(payload))
+                .to_dict()
+                for sequence, payload in conn.execute(
+                    "SELECT sequence, payload FROM records")}
+    finally:
+        conn.close()
+
+
+class TestDecodeReuse:
+    def test_rewritten_row_decodes_afresh(self, tmp_path):
+        path = str(tmp_path / "reuse.db")
+        registry = WatermarkRegistry(SQLiteBackend(path), sealer=SEALER)
+        registry.append(_registry_record("alice"))
+        registry.append(_registry_record("bob", "<b/>"))
+        assert [r.recipient for r in registry.records()] == ["alice", "bob"]
+        assert registry.backend.get_record(0).recipient == "alice"
+
+        # Reassign alice's row to mallory behind the backend's back.
+        conn = sqlite3.connect(path)
+        payload = json.loads(conn.execute(
+            "SELECT payload FROM records WHERE sequence = 0").fetchone()[0])
+        payload["recipient"] = "mallory"
+        conn.execute("UPDATE records SET payload = ?, recipient = ? "
+                     "WHERE sequence = 0", (json.dumps(payload), "mallory"))
+        conn.commit()
+        conn.close()
+
+        assert [r.recipient for r in registry.records()] == \
+            ["mallory", "bob"]
+        assert registry.backend.get_record(0).recipient == "mallory"
+        assert not registry.verify_chain().intact
+        registry.close()
+
+
+class TestConcurrentReaders:
+    """Readers racing an appender see whole, ordered, exact corpora."""
+
+    READERS = 6  # more threads than the 2 cores CI runners have
+    APPENDS = 150
+    CHECKED = 3  # trailing entries of each read held against fresh decodes
+
+    @pytest.mark.parametrize("budget_records", [None, 3])
+    def test_reads_are_ordered_and_exact(self, tmp_path, monkeypatch,
+                                         budget_records):
+        path = str(tmp_path / "stress.db")
+        backend = SQLiteBackend(path)
+        registry = WatermarkRegistry(backend, sealer=SEALER)
+        registry.append(_registry_record("r000", "<d0/>"))
+        if budget_records is not None:
+            # Room for about three records' payload text.
+            payload_chars = len(json.dumps(registry.records()[0].to_dict()))
+            monkeypatch.setattr(sqlite_backend, "DECODE_BUDGET_CHARS",
+                                budget_records * payload_chars)
+        budget = sqlite_backend.DECODE_BUDGET_CHARS
+
+        done = threading.Event()
+        reads, failures = [], []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    found = registry.records()
+                    reads.append(([r.sequence for r in found],
+                                  [r.to_dict()
+                                   for r in found[-self.CHECKED:]]))
+                    if backend._decoded_chars > budget:
+                        failures.append(
+                            f"held {backend._decoded_chars} > {budget}")
+            except Exception as error:  # surfaced by the main thread
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=reader, daemon=True)
+                   for _ in range(self.READERS)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for index in range(1, self.APPENDS):
+                registry.append(_registry_record(f"r{index:03d}",
+                                                 f"<d{index}/>"))
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+        fresh = _fresh_decodes(path)
+        assert len(fresh) == self.APPENDS
+        assert reads
+        for sequences, tail in reads:
+            assert sequences == list(range(len(sequences)))
+            assert tail == [fresh[s] for s in sequences[-self.CHECKED:]]
+        final = registry.records()
+        assert [r.to_dict() for r in final] == \
+            [fresh[s] for s in range(self.APPENDS)]
+        assert backend._decoded_chars <= budget
+        assert backend._decoded_chars == sum(
+            len(text) for text, _ in backend._decoded.values())
+        if budget_records is not None:
+            assert 0 < len(backend._decoded) <= budget_records
+        registry.close()

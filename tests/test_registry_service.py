@@ -361,3 +361,35 @@ class TestRestartSurvival:
         assert status == 409
         assert body["error"]["code"] == "chain-broken"
         second.system.registry.close()
+
+    def test_live_tamper_answers_chain_broken(self, tmp_path, golden_text):
+        """No restart: a daemon that has already decoded every record
+        must still see a row rewritten under it."""
+        db = str(tmp_path / "live-tamper.db")
+        live = self._serve(db)
+        with running_server(live) as server:
+            client = WmXMLClient(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                scheme="books")
+            alice = client.issue(golden_text, "alice")
+            client.issue(golden_text, "bob")
+            assert client.trace(alice.xml).prime_suspect == "alice"
+            assert client.verify_ledger()["intact"] is True
+
+            conn = sqlite3.connect(db)
+            payload = json.loads(conn.execute(
+                "SELECT payload FROM records WHERE sequence = 0"
+            ).fetchone()[0])
+            payload["recipient"] = "mallory"
+            conn.execute(
+                "UPDATE records SET payload = ?, recipient = ? "
+                "WHERE sequence = 0",
+                (json.dumps(payload), "mallory"))
+            conn.commit()
+            conn.close()
+
+            with pytest.raises(RemoteServiceError) as excinfo:
+                client.verify_ledger()
+            assert excinfo.value.http_status == 409
+            assert excinfo.value.code == "chain-broken"
+        live.system.registry.close()

@@ -18,6 +18,7 @@ change to how a trace runs must leave these bytes alone:
 """
 
 import json
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from repro.api import WmXMLSystem
 from repro.attacks import ReorganizationAttack, ValueAlterationAttack
 from repro.datasets import bibliography
 from repro.datasets.bibliography import BibliographyConfig
-from repro.registry import WatermarkRegistry
+from repro.registry import RegistryRecord, SQLiteBackend, WatermarkRegistry
 from repro.tenants import TenantDirectory, TenantsConfig
 from repro.xmlmodel import parse, serialize
 
@@ -59,9 +60,11 @@ def _altered(document, seed=7):
     return ValueAlterationAttack(0.1, seed=seed).apply(document).document
 
 
-def build_corpus():
+def build_corpus(registry=None):
     """A system holding 14 seeded records; returns (system, leak)."""
-    system = WmXMLSystem(KEY, registry=WatermarkRegistry())
+    if registry is None:
+        registry = WatermarkRegistry()
+    system = WmXMLSystem(KEY, registry=registry)
     system.register("books", bibliography.default_scheme(2))
     texts = _texts(4)
     copies = {}
@@ -91,10 +94,12 @@ def trace_scan():
     return system.trace("books", leak, strategy="scan")
 
 
-def build_rotated_directory():
+def build_rotated_directory(registry=None):
     """Records of two key generations (and a second tenant's copy)."""
+    if registry is None:
+        registry = WatermarkRegistry()
     directory = TenantDirectory(TenantsConfig.from_dict(TENANTS),
-                                registry=WatermarkRegistry())
+                                registry=registry)
     directory.register_all("books", bibliography.default_scheme(1))
     texts = _texts(3, books=20)
     old = directory.system("acme")
@@ -153,3 +158,39 @@ def test_indexed_equals_scan():
     indexed = system.trace("books", leak)
     scan = system.trace("books", leak, strategy="scan")
     assert canonical(indexed) == canonical(scan) == _vector("scan")
+
+
+def _tracer(name, registry):
+    """Build case ``name`` over ``registry``; returns its trace call."""
+    if name == "tenant-rotation":
+        directory, leak = build_rotated_directory(registry)
+        return lambda: directory.trace("acme", "books", leak)
+    system, leak = build_corpus(registry)
+    if name == "reorganized":
+        moved = ReorganizationAttack(bibliography.book_shape(),
+                                     bibliography.publisher_shape()) \
+            .apply(leak).document
+        return lambda: system.trace("books", moved,
+                                    shape=bibliography.publisher_shape())
+    strategy = "scan" if name == "scan" else "auto"
+    return lambda: system.trace("books", leak, strategy=strategy)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sqlite_trace_bytes_match_vector_cold_and_warm(name, tmp_path):
+    """The vectors hold over the SQLite read path, whose second trace
+    reuses the records the first decoded, and no trace mutates them."""
+    path = str(tmp_path / "trace.db")
+    registry = WatermarkRegistry(SQLiteBackend(path))
+    trace = _tracer(name, registry)
+    assert canonical(trace()) == _vector(name)
+    assert canonical(trace()) == _vector(name)
+    conn = sqlite3.connect(path)
+    rows = dict(conn.execute("SELECT sequence, payload FROM records"))
+    conn.close()
+    records = registry.records()
+    assert len(records) == len(rows)
+    for record in records:
+        fresh = RegistryRecord.from_dict(json.loads(rows[record.sequence]))
+        assert record.to_dict() == fresh.to_dict()
+    registry.close()

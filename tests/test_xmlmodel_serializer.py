@@ -96,6 +96,16 @@ class TestPretty:
         assert out.index("<db/>") < out.index("<!--tail-->")
         assert "<?p d?>" in out
 
+    def test_deep_chain_pretty_prints(self):
+        # Deeper than the recursion limit; not 100,000 deep, because
+        # indentation makes the output quadratic in depth.
+        depth = 1500
+        text = ("<db>" + "<n a='1'>" * depth + "<leaf>x</leaf>"
+                + "</n>" * depth + "<tail/></db>")
+        doc = parse(text)
+        again = parse(pretty(doc), strip_whitespace=True)
+        assert serialize(again) == serialize(doc)
+
 
 class TestWriteFile:
     def test_write_pretty(self, tmp_path):
