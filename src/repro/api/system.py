@@ -42,11 +42,24 @@ from repro.xmlmodel.tree import Document
 
 SchemeLike = Union[str, WatermarkingScheme, dict]
 
-#: Ceiling on the content-keyed pipeline cache.  Registered names are
-#: unbounded by design (the operator controls them); ad-hoc inline
-#: schemes can arrive from the wire on every request, so they evict
-#: least-recently-used beyond this many distinct deployments.
+#: Ceiling on the content-keyed pipeline cache, and on the recipient
+#: pipelines issuance compiles.  Registered names are unbounded by
+#: design (the operator controls them); ad-hoc inline schemes and
+#: recipients can arrive from the wire on every request, so they evict
+#: least-recently-used beyond this many.  Traces do not use the
+#: recipient LRU (see :data:`VERIFIER_BUDGET_QUERIES`).
 CONTENT_CACHE_MAX = 64
+
+#: Ceiling on the warm verifiers a system holds for traces, counted in
+#: the stored queries of the records they have verified.  A warm
+#: verifier is a recipient's derived-key pipeline with its PRF memos
+#: filled: about 170-225 B per query (measured with tracemalloc: 10.9 KB
+#: for a 20-book copy, 70 KB for a 200-book one), so a full budget
+#: holds about 13 MiB.  Unlike the LRUs, the map fills and never
+#: evicts: a sweep reads records in sequence order, so an LRU smaller
+#: than the corpus would never hit.  Past the budget, a record verifies
+#: under a freshly compiled pipeline.
+VERIFIER_BUDGET_QUERIES = 65_536
 
 #: Prefix of the registry identity that records an owner embed of a
 #: bit string with no text form (``bits:0101...``).
@@ -93,6 +106,12 @@ class WmXMLSystem:
         # (scheme content, recipient, alpha); LRU like the content cache.
         self._recipient_pipelines: dict[tuple[str, str, float],
                                         Pipeline] = {}
+        # Trace verifiers, keyed alike but held apart from the LRU: the
+        # (key, sequence) of every record charged to the budget, and
+        # the stored queries charged so far.
+        self._verifiers: dict[tuple[str, str, float], Pipeline] = {}
+        self._verified: set[tuple[tuple[str, str, float], int]] = set()
+        self._verifier_queries = 0
         self._name_fingerprints: dict[str, str] = {}
         self._lock = threading.Lock()
 
@@ -282,15 +301,8 @@ class WmXMLSystem:
                            alpha: Optional[float] = None) -> Pipeline:
         """The compiled pipeline under ``recipient``'s derived key."""
         resolved = self._resolve(scheme)
-        return self._recipient_pipeline(
-            resolved, scheme_content_key(resolved), recipient,
-            self.alpha if alpha is None else alpha)
-
-    def _recipient_pipeline(self, resolved: WatermarkingScheme,
-                            content: str, recipient: str,
-                            effective_alpha: float) -> Pipeline:
-        """:meth:`recipient_pipeline` for an already-resolved scheme."""
-        key = (content, recipient, effective_alpha)
+        effective_alpha = self.alpha if alpha is None else alpha
+        key = (scheme_content_key(resolved), recipient, effective_alpha)
         with self._lock:
             pipeline = self._recipient_pipelines.pop(key, None)
             if pipeline is not None:
@@ -489,10 +501,11 @@ class WmXMLSystem:
             self, scheme: SchemeLike) -> Callable[[RegistryRecord], Pipeline]:
         """The pipeline that verifies each of a trace's records.
 
-        ``scheme`` is resolved once here, not once per record: a
-        recipient's record looks its derived-key pipeline up in the
-        recipient-pipeline cache, and every owner record shares the one
-        system-key pipeline.
+        ``scheme`` is resolved once here, not once per record.  A
+        recipient's record verifies under that recipient's warm
+        verifier (:meth:`_verifier`), not through the recipient LRU,
+        which traces leave as issuance left it; every owner record
+        shares the one system-key pipeline.
         """
         resolved = self._resolve(scheme)
         content = scheme_content_key(resolved)
@@ -501,13 +514,41 @@ class WmXMLSystem:
         def pipeline_for(entry: RegistryRecord) -> Pipeline:
             nonlocal owner
             if entry.keying == "recipient":
-                return self._recipient_pipeline(resolved, content,
-                                                entry.recipient, self.alpha)
+                return self._verifier(resolved, content, entry)
             if owner is None:
                 owner = self.pipeline(scheme)
             return owner
 
         return pipeline_for
+
+    def _verifier(self, resolved: WatermarkingScheme, content: str,
+                  entry: RegistryRecord) -> Pipeline:
+        """The held verifier for a recipient's record, within budget.
+
+        A record is charged its stored queries the first time a held
+        verifier checks it; a charged record is checked under that
+        verifier ever after.  A record the budget cannot take verifies
+        under a freshly compiled pipeline.  The memos map inputs to that
+        key's own HMACs, so a warm verifier judges a rewritten row
+        exactly as a cold one would.
+        """
+        key = (content, entry.recipient, self.alpha)
+        charge = (key, entry.sequence)
+        queries = len(entry.record.queries)
+        with self._lock:
+            verifier = self._verifiers.get(key)
+            if charge in self._verified:
+                return verifier
+            if self._verifier_queries + queries <= VERIFIER_BUDGET_QUERIES:
+                if verifier is None:
+                    verifier = self._verifiers[key] = Pipeline(
+                        resolved, self.recipient_key(entry.recipient),
+                        alpha=self.alpha)
+                self._verified.add(charge)
+                self._verifier_queries += queries
+                return verifier
+        return Pipeline(resolved, self.recipient_key(entry.recipient),
+                        alpha=self.alpha)
 
     def detect(
         self,

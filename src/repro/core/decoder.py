@@ -143,12 +143,16 @@ class WmXMLDecoder:
         self.alpha = alpha
         self._algorithms: dict[str, WatermarkAlgorithm] = {}
 
-    def _algorithm(self, name: str, params: dict,
+    def _algorithm(self, name: str, params: tuple,
                    cache_key: str) -> WatermarkAlgorithm:
-        """Plug-in lookup keyed by the query's precomputed cache key."""
+        """Plug-in lookup keyed by the query's precomputed cache key.
+
+        ``params`` is the query's ``(name, value)`` tuple; its dict is
+        built only on a miss, not once per query.
+        """
         algorithm = self._algorithms.get(cache_key)
         if algorithm is None:
-            algorithm = create_algorithm(name, params)
+            algorithm = create_algorithm(name, dict(params))
             self._algorithms[cache_key] = algorithm
         return algorithm
 
@@ -222,7 +226,7 @@ class WmXMLDecoder:
                 queries_rejected += 1
                 continue
             algorithm = self._algorithm(wm_query.algorithm,
-                                        wm_query.param_map,
+                                        wm_query.params,
                                         wm_query.algorithm_cache_key)
             if executor is not None:
                 try:

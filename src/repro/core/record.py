@@ -63,10 +63,6 @@ class WatermarkQuery:
     algorithm: str
     params: tuple[tuple[str, Any], ...] = ()
 
-    @property
-    def param_map(self) -> dict[str, Any]:
-        return {name: value for name, value in self.params}
-
     @cached_property
     def algorithm_cache_key(self) -> str:
         """Stable key identifying ``(algorithm, params)`` plug-in state."""

@@ -14,7 +14,7 @@ collects one *vote* per surviving carrier instance and:
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -158,12 +158,15 @@ class VoteTally:
         return len(self.indices()) / nbits
 
 
+@functools.lru_cache(maxsize=4096)
 def binomial_pvalue(matches: int, total: int) -> float:
     """P[Binomial(total, 1/2) >= matches] — the false-hit probability.
 
     This is the probability that unwatermarked (random) data yields at
     least this many agreeing votes.  Returns 1.0 for empty tallies so a
-    document with no surviving carriers can never be claimed.
+    document with no surviving carriers can never be claimed.  Memoised:
+    a trace asks for one p-value per record, and scipy's tail costs far
+    more than a cache hit, which hands back the same float.
     """
     if total <= 0:
         return 1.0

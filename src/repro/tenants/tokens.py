@@ -9,7 +9,8 @@ expiry (epoch seconds), and the key id whose derived token key signed
 it — so tokens survive master-key rotation exactly like watermark
 records do: verification re-derives the signing key for the generation
 the token itself names.  No padding, no external JWT machinery; the
-signature covers the exact claim bytes that travel.
+signature covers the exact claim bytes that travel, and both segments
+must be canonical unpadded base64url.
 
 Everything that can go wrong verifying a token raises
 :class:`UnauthorizedError` — a missing credential and a forged one look
@@ -67,8 +68,17 @@ def _b64encode(raw: bytes) -> str:
 
 
 def _b64decode(text: str) -> bytes:
-    pad = -len(text) % 4
-    return base64.urlsafe_b64decode(text + "=" * pad)
+    """Decode canonical unpadded base64url; anything else is malformed.
+
+    ``urlsafe_b64decode`` silently drops characters outside its
+    alphabet and ignores stray trailing bits, so only a segment that
+    re-encodes to itself is accepted, and a token verifies only as the
+    exact string that was minted.
+    """
+    raw = base64.urlsafe_b64decode(text + "=" * (-len(text) % 4))
+    if _b64encode(raw) != text:
+        raise ValueError("token segment is not canonical base64url")
+    return raw
 
 
 def _signature(key: bytes, claims: bytes) -> bytes:

@@ -471,16 +471,28 @@ class Element(Node):
     # -- equality & copying ------------------------------------------------------
 
     def equals(self, other: Node) -> bool:
-        """Deep structural equality: tag, attributes, ordered children."""
-        if not isinstance(other, Element):
-            return False
-        if other.tag != self.tag or other.attributes != self.attributes:
-            return False
-        mine = _significant_children(self)
-        theirs = _significant_children(other)
-        if len(mine) != len(theirs):
-            return False
-        return all(a.equals(b) for a, b in zip(mine, theirs))
+        """Deep structural equality: tag, attributes, ordered children.
+
+        Walks an explicit stack of element pairs, not recursion, so any
+        depth the scanner parses also compares.
+        """
+        stack: list[tuple[Element, Node]] = [(self, other)]
+        while stack:
+            element, counterpart = stack.pop()
+            if not isinstance(counterpart, Element) \
+                    or counterpart.tag != element.tag \
+                    or counterpart.attributes != element.attributes:
+                return False
+            mine = _significant_children(element)
+            theirs = _significant_children(counterpart)
+            if len(mine) != len(theirs):
+                return False
+            for a, b in zip(mine, theirs):
+                if isinstance(a, Element):
+                    stack.append((a, b))
+                elif not a.equals(b):
+                    return False
+        return True
 
     def copy(self) -> "Element":
         # An explicit stack, not recursion, so any depth the scanner

@@ -130,6 +130,25 @@ class TestStatistics:
         with pytest.raises(ValueError):
             binomial_pvalue(-1, 10)
 
+    def test_memo_hands_back_scipys_float(self):
+        """The uncached and the cached call both equal scipy's own tail
+        for every tally of up to 400 votes."""
+        from scipy import stats
+
+        binomial_pvalue.cache_clear()
+        pairs = [(matches, total) for total in range(401)
+                 for matches in range(total + 1)]
+        mismatches = []
+        for matches, total in pairs:
+            expected = float(stats.binom.sf(matches - 1, total, 0.5))
+            first = binomial_pvalue(matches, total)
+            second = binomial_pvalue(matches, total)
+            if not first == second == expected:
+                mismatches.append((matches, total, first, second, expected))
+        assert mismatches == []
+        info = binomial_pvalue.cache_info()
+        assert (info.misses, info.hits) == (len(pairs), len(pairs))
+
     def test_bit_error_rate(self):
         expected = Watermark([1, 0, 1, 1])
         assert bit_error_rate([1, 0, 1, 1], expected) == 0.0

@@ -19,6 +19,7 @@ The contracts ISSUE 10 promises:
 
 import base64
 import json
+import random
 import time
 
 import pytest
@@ -176,6 +177,91 @@ class TestAuthGate:
         status, _, _ = service.dispatch("GET", "/v1/stats", b"",
                                         _bearer(token))
         assert status == 401
+
+
+class TestTokenFuzz:
+    """Seeded, time-boxed mutations of a minted token: each one that
+    still differs from it once the header's surrounding whitespace is
+    stripped answers 401 ``unauthorized``, never 200 and never 500."""
+
+    SEED = 20260
+    MUTATIONS = 4000
+    SECONDS = 20.0
+    B64URL = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+              "0123456789-_")
+    JUNK = " \t\n\x00%=+/.!~*$"
+    NON_ASCII = ("\u00e9", "\u00df", "\u00a0", "\u200b", "\u0661",
+                 "\U0001f600", "\ufeff")
+
+    def _mutate(self, rng, token):
+        prefix, claims, signature = token.split(".")
+        kind = rng.randrange(8)
+        if kind == 0:  # the prefix
+            return rng.choice(["wmx2", "WMX1", "wmx", "wmx11", "", "wm x1",
+                               "wmx1=", "wmx1\u200b"]) \
+                + token[len(prefix):]
+        if kind == 1:  # the segment count
+            segments = [prefix, claims, signature]
+            if rng.random() < 0.5:
+                del segments[rng.randrange(3)]
+            else:
+                segments.insert(rng.randrange(4),
+                                rng.choice(["", claims, signature, "AA"]))
+            return ".".join(segments)
+        if kind == 2:  # padding
+            segments = [claims, signature]
+            index = rng.randrange(2)
+            segments[index] += "=" * rng.randint(1, 3)
+            return ".".join([prefix] + segments)
+        if kind == 3:  # the signature's length
+            cut = rng.randint(1, len(signature))
+            longer = signature + "".join(
+                rng.choice(self.B64URL) for _ in range(rng.randint(1, 6)))
+            return ".".join([prefix, claims, rng.choice(
+                [signature[:-cut], longer, signature + signature])])
+        # one character inside a segment: a junk, base64, standard
+        # base64 or non-ASCII character inserted, or one replaced
+        position = rng.randrange(len(prefix) + 1, len(token))
+        alphabet = rng.choice([self.JUNK, self.B64URL, "+/",
+                               "".join(self.NON_ASCII)])
+        character = rng.choice(alphabet)
+        if kind in (4, 5):
+            return token[:position] + character + token[position:]
+        return token[:position] + character + token[position + 1:]
+
+    def test_mutated_tokens_are_unauthorized(self, stack):
+        service, directory, _ = stack
+        token = directory.mint_token("acme")
+        status, _, _ = service.dispatch("GET", "/v1/stats", b"",
+                                        _bearer(token))
+        assert status == 200
+        rng = random.Random(self.SEED)
+        deadline = time.monotonic() + self.SECONDS
+        checked, accepted = 0, []
+        for _ in range(self.MUTATIONS):
+            if time.monotonic() > deadline:
+                break
+            mutated = self._mutate(rng, token)
+            if mutated.strip() == token:
+                continue  # header whitespace, not the token itself
+            status, payload, _ = service.dispatch(
+                "GET", "/v1/stats", b"", _bearer(mutated))
+            checked += 1
+            if status != 401 or payload["error"]["code"] != "unauthorized":
+                accepted.append((mutated, status))
+        assert accepted == []
+        assert checked >= 500
+
+    def test_claims_nested_too_deep_in_canonical_base64_are_401(self,
+                                                                stack):
+        service, _, _ = stack
+        claims = base64.urlsafe_b64encode(b"[" * 5000 + b"]" * 5000) \
+            .rstrip(b"=").decode()
+        status, payload, _ = service.dispatch(
+            "GET", "/v1/stats", b"",
+            _bearer(f"wmx1.{claims}.c2ln"))
+        assert status == 401
+        assert payload["error"]["code"] == "unauthorized"
 
 
 class TestQuotas:

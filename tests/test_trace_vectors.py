@@ -15,14 +15,21 @@ change to how a trace runs must leave these bytes alone:
   also equal the indexed bytes;
 * ``tenant-rotation`` — a tenant-directory trace over records of two
   key generations, taken after ``rotate()``.
+
+A system verifies recipients' records under warm verifiers it holds
+apart from issuance's recipient LRU, up to ``VERIFIER_BUDGET_QUERIES``
+stored queries; the bytes must not depend on which records got one.
 """
 
 import json
 import sqlite3
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import repro.api.system as system_mod
 from repro.api import WmXMLSystem
 from repro.attacks import ReorganizationAttack, ValueAlterationAttack
 from repro.datasets import bibliography
@@ -194,3 +201,131 @@ def test_sqlite_trace_bytes_match_vector_cold_and_warm(name, tmp_path):
         fresh = RegistryRecord.from_dict(json.loads(rows[record.sequence]))
         assert record.to_dict() == fresh.to_dict()
     registry.close()
+
+
+# -- the verifier map ----------------------------------------------------------
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    """``cut(queries)`` lowers the verifier budget to ``queries`` and
+    returns the systems that looked verifiers up, keyed by ``id``."""
+    seen = {}
+    original = WmXMLSystem._verifier
+
+    def recording(self, resolved, content, entry):
+        seen[id(self)] = self
+        return original(self, resolved, content, entry)
+
+    monkeypatch.setattr(WmXMLSystem, "_verifier", recording)
+
+    def cut(queries):
+        monkeypatch.setattr(system_mod, "VERIFIER_BUDGET_QUERIES", queries)
+        return seen
+
+    return cut
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_bytes_hold_past_the_verifier_budget(name, small_budget):
+    """With room for about three records' queries, the records past the
+    budget verify under fresh pipelines, and the bytes stay the same."""
+    registry = WatermarkRegistry()
+    trace = _tracer(name, registry)
+    recipient_records = [entry for entry in registry.records()
+                         if entry.keying == "recipient"]
+    budget = 3 * len(recipient_records[0].record.queries)
+    systems = small_budget(budget)
+    for _ in range(2):
+        assert canonical(trace()) == _vector(name)
+    assert systems
+    held = sum(len(system._verified) for system in systems.values())
+    assert 0 < held < len(recipient_records)
+    for system in systems.values():
+        assert 0 < system._verifier_queries <= budget
+        assert len(system._verifiers) <= len(system._verified)
+
+
+def test_trace_leaves_the_issuance_lru_as_it_found_it():
+    system = WmXMLSystem(KEY, registry=WatermarkRegistry())
+    system.register("books", bibliography.default_scheme(1))
+    text = _texts(1, books=5)[0]
+    for index in range(100):
+        system.issue("books", parse(text), f"r{index:03d}")
+    pipeline = system.recipient_pipeline("books", "r099")
+    before = list(system._recipient_pipelines.items())
+    assert len(before) == system_mod.CONTENT_CACHE_MAX
+    system.trace("books", parse(text))
+    assert list(system._recipient_pipelines.items()) == before
+    assert system.recipient_pipeline("books", "r099") is pipeline
+
+
+def test_row_rewritten_after_a_warm_trace_is_rejected(tmp_path):
+    """A warm verifier's memos hold the key's own derivations, so a
+    stored bit index rewritten on disk is still refused."""
+    path = str(tmp_path / "trace.db")
+    registry = WatermarkRegistry(SQLiteBackend(path))
+    system, leak = build_corpus(registry)
+    assert canonical(system.trace("books", leak)) == _vector("altered-leak")
+    (entry,) = registry.records(recipient=LEAKER)
+
+    conn = sqlite3.connect(path)
+    payload = json.loads(conn.execute(
+        "SELECT payload FROM records WHERE sequence = ?",
+        (entry.sequence,)).fetchone()[0])
+    first = payload["record"]["queries"][0]
+    first["bit_index"] = (first["bit_index"] + 1) \
+        % payload["record"]["nbits"]
+    conn.execute("UPDATE records SET payload = ? WHERE sequence = ?",
+                 (json.dumps(payload), entry.sequence))
+    conn.commit()
+    conn.close()
+
+    trace = system.trace("books", leak)
+    verdict = trace.verdicts[LEAKER]
+    assert verdict.queries_rejected == 1
+    assert not verdict.detected
+    assert trace.accused == []
+    registry.close()
+
+
+@pytest.mark.parametrize("budget_records", [None, 3])
+def test_concurrent_traces_agree(small_budget, budget_records):
+    """4 threads trace one system at once: every reply has the vector's
+    bytes, and the map never holds more than the budget."""
+    system, leak = build_corpus()
+    budget = system_mod.VERIFIER_BUDGET_QUERIES
+    if budget_records is not None:
+        first = next(entry for entry in system.registry.records()
+                     if entry.keying == "recipient")
+        budget = budget_records * len(first.record.queries)
+        small_budget(budget)
+    replies, failures = [], []
+
+    def tracer():
+        try:
+            for _ in range(3):
+                replies.append(canonical(system.trace("books", leak)))
+        except Exception as error:  # reported below, not swallowed
+            failures.append(error)
+
+    threads = [threading.Thread(target=tracer, daemon=True)
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            thread.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert replies == [_vector("altered-leak")] * 12
+    assert 0 < system._verifier_queries <= budget
+    charged = {sequence for _, sequence in system._verified}
+    assert len(charged) == len(system._verified)
+    assert system._verifier_queries == sum(
+        len(entry.record.queries) for entry in system.registry.records()
+        if entry.sequence in charged)

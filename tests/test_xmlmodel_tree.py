@@ -292,6 +292,22 @@ class TestEquality:
         assert not Text("a").equals(Comment("a"))
         assert not Element("a").equals(Text("a"))
 
+    def test_deep_chain_equals_its_copy(self):
+        depth = 100_000
+        root = deepest = Element("d")
+        for _ in range(depth - 1):
+            deepest = deepest.add_child("d")
+        deepest.append(Text("x"))
+        doc = Document(root)
+        assert doc.equals(doc.copy())
+        changed = doc.copy()
+        node = changed.root
+        while node.children and isinstance(node.children[0], Element):
+            node = node.children[0]
+        node.set_text("y")
+        assert not doc.equals(changed)
+        assert not changed.equals(doc)
+
 
 class TestCopy:
     def test_deep_copy_is_detached_and_equal(self):
