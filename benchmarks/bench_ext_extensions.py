@@ -8,9 +8,9 @@
 """
 
 from benchmarks.conftest import BENCH_CONFIG, archive
+from repro.api import Fingerprinter
 from repro.attacks import CollusionAttack, ReductionAttack
 from repro.core import (
-    Fingerprinter,
     RepetitionCode,
     Watermark,
     WmXMLDecoder,

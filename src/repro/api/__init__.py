@@ -52,7 +52,7 @@ from repro.api.pipeline import (
     EMBED_OUTPUTS,
     Pipeline,
 )
-from repro.api.system import WmXMLSystem
+from repro.api.system import Fingerprinter, IssuedCopy, WmXMLSystem
 from repro.attacks import (
     Attack,
     AttackReport,
@@ -72,7 +72,6 @@ from repro.core import (
     EmbeddingResult,
     EmbeddingStats,
     FDIdentifier,
-    Fingerprinter,
     KeyIdentifier,
     UsabilityBaseline,
     UsabilityReport,
@@ -95,7 +94,7 @@ from repro.errors import (
     error_payload,
     http_status_for,
 )
-from repro.core.fingerprint import IssuedCopy, TraceResult
+from repro.core.fingerprint import TraceResult
 from repro.registry import (
     ChainBrokenError,
     ChainVerification,

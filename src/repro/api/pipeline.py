@@ -56,12 +56,13 @@ task inside a process-pool worker:
   only to be re-pickled out for embedding); with ``output="xml"`` the
   marked tree is serialised in the worker too and only markup text
   returns.
-* Results come back in input order, and a failure (syntax error, dead
-  worker) either propagates exactly as the serial path would raise it
-  or — for pool-level failures such as ``BrokenProcessPool`` or
-  pickling a pathologically deep tree — falls back to the serial path:
-  parallelism is a throughput optimisation, never a correctness
-  dependency.  Pooled and serial outputs are bit-identical (locked by
+* Results come back in input order.  A failed chunk (dead worker, a
+  tree too deep to pickle, an error raised in the worker) is retried
+  once on a fresh pool, then run serially in this process
+  (:func:`repro.parallel.map_recovering`), so a syntax error
+  propagates exactly as the serial path would raise it: parallelism
+  is a throughput optimisation, never a correctness dependency.
+  Pooled and serial outputs are bit-identical (locked by
   ``tests/test_parallel_engine.py``).
 
 ``processes=N`` pays off once the batch has enough total work to
@@ -335,11 +336,7 @@ class Pipeline:
         if self._poolable(processes, batch,
                           in_place and any(isinstance(item, Document)
                                            for item in batch)):
-            try:
-                return self._embed_pooled(batch, watermark, processes,
-                                          output)
-            except (RecursionError, parallel.BrokenProcessPool):
-                pass  # fall back to the serial path below
+            return self._embed_pooled(batch, watermark, processes, output)
         # A tree parsed here from raw XML is this call's own, so it is
         # marked in place, as the pool workers mark theirs.
         results = [self._encoder.embed(document, watermark,
@@ -410,11 +407,8 @@ class Pipeline:
         indexed = _resolve_strategy(strategy)
         batch = list(items)  # accept iterators safely
         if self._poolable(processes, batch, False):
-            try:
-                return self._detect_pooled(batch, expected_wm, shape,
-                                           indexed, processes)
-            except (RecursionError, parallel.BrokenProcessPool):
-                pass  # fall back to the serial path below
+            return self._detect_pooled(batch, expected_wm, shape, indexed,
+                                       processes)
         documents = _as_documents([document for document, _ in batch],
                                   processes)
         return [

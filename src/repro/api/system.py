@@ -9,12 +9,18 @@ so repeated ``embed``/``detect`` calls pay no setup cost.
 
 The secret key never leaves the system: registry listings and log
 output only ever see its public fingerprint.
+
+Every verification of an issued copy runs through one system's
+:meth:`WmXMLSystem.trace` (or :meth:`~WmXMLSystem.detect_recorded`):
+a :class:`Fingerprinter` is a one-scheme front door over a private
+system with an in-memory registry.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.api.pipeline import (
@@ -286,10 +292,9 @@ class WmXMLSystem:
     def recipient_key(self, recipient: str) -> bytes:
         """The derived per-recipient secret key.
 
-        The exact :class:`~repro.core.fingerprint.Fingerprinter`
-        derivation — ``HMAC(master, "fingerprint-key", recipient)`` —
-        so copies issued here and traces run here interoperate with
-        the core fingerprinting machinery.  Derived keys select
+        ``HMAC(master, "fingerprint-key", recipient)``: the one
+        derivation every fingerprinted copy is issued and verified
+        under (:class:`Fingerprinter` included).  Derived keys select
         *different* element subsets per recipient, which is what makes
         collusion tracing work.
         """
@@ -489,17 +494,14 @@ class WmXMLSystem:
             raise UnknownRecipientError(recipient,
                                         known=registry.recipients())
         entry = entries[-1]
-        if entry.keying == "recipient":
-            pipeline = self.recipient_pipeline(scheme, recipient)
-        else:
-            pipeline = self.pipeline(scheme)
-        return pipeline.detect(document, entry.record,
-                               expected=recorded_message(entry),
-                               shape=shape, strategy=strategy)
+        return self._trace_pipelines(scheme)(entry).detect(
+            document, entry.record, expected=recorded_message(entry),
+            shape=shape, strategy=strategy)
 
     def _trace_pipelines(
             self, scheme: SchemeLike) -> Callable[[RegistryRecord], Pipeline]:
-        """The pipeline that verifies each of a trace's records.
+        """The pipeline that verifies each registry record: every record
+        of a trace, and the one :meth:`detect_recorded` picks.
 
         ``scheme`` is resolved once here, not once per record.  A
         recipient's record verifies under that recipient's warm
@@ -581,6 +583,59 @@ class WmXMLSystem:
     def __repr__(self) -> str:
         return (f"WmXMLSystem(key_fingerprint={self._fingerprint!r}, "
                 f"schemes={self.scheme_names()!r})")
+
+
+@dataclass
+class IssuedCopy:
+    """One recipient's fingerprinted copy and its detection record."""
+
+    recipient: str
+    document: Document
+    record: WatermarkRecord
+
+
+class Fingerprinter:
+    """Issue fingerprinted copies of one scheme and trace leaks back.
+
+    A front door over a private :class:`WmXMLSystem` whose in-memory
+    registry records every copy issued: :meth:`issue` and :meth:`trace`
+    are that system's :meth:`~WmXMLSystem.issue` and
+    :meth:`~WmXMLSystem.trace`, so a recipient issued several copies is
+    accused when any one of them leaks.
+    """
+
+    #: The name the private system registers the scheme under.
+    _SCHEME_NAME = "fingerprinted"
+
+    def __init__(self, scheme: WatermarkingScheme,
+                 master_key: Union[str, bytes],
+                 alpha: float = 1e-3) -> None:
+        self.scheme = scheme
+        self.alpha = alpha
+        self._system = WmXMLSystem(master_key, alpha=alpha,
+                                   registry=WatermarkRegistry())
+        self._system.register(self._SCHEME_NAME, scheme)
+
+    def recipient_key(self, recipient: str) -> bytes:
+        """The derived secret key for one recipient."""
+        return self._system.recipient_key(recipient)
+
+    def issue(self, document: Document, recipient: str) -> IssuedCopy:
+        """Watermark a copy for ``recipient`` and record it."""
+        result = self._system.issue(self._SCHEME_NAME, document, recipient)
+        return IssuedCopy(recipient, result.document, result.record)
+
+    @property
+    def issued_recipients(self) -> list[str]:
+        return self._system.registry.recipients()
+
+    def trace(self, suspected: Document,
+              shape: Optional[DocumentShape] = None,
+              indexed: bool = True) -> TraceResult:
+        """Verify every issued copy against a leaked one (``indexed``
+        shreds it once; otherwise each query is an XPath scan)."""
+        return self._system.trace(self._SCHEME_NAME, suspected, shape=shape,
+                                  strategy="auto" if indexed else "scan")
 
 
 def recorded_message(entry: RegistryRecord) -> MessageLike:

@@ -36,6 +36,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.api import (
+    DETECTION_STRATEGIES,
     NodeDeletionAttack,
     NodeInsertionAttack,
     RedundancyUnificationAttack,
@@ -52,7 +53,7 @@ from repro.api import (
 )
 from repro.core.crypto import KeyedPRF
 from repro.datasets import bibliography, jobs, library
-from repro.errors import error_payload
+from repro.errors import error_code, error_payload
 from repro.harness import EXPERIMENTS, ExperimentConfig
 from repro.perf import StageTimer, use_timer
 from repro.registry import RegistryUnavailableError
@@ -279,25 +280,23 @@ def _embed_batch(args: argparse.Namespace, scheme: WatermarkingScheme,
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    """Detect, mapping any WmXML error to its stable code.
+    """Detect; on a WmXML error, ``--result`` gets the error's payload.
 
-    A failure (malformed record, bad XML, unknown algorithm...) prints
-    the machine-readable code and — when ``--result`` was given —
-    writes the same error payload the service would put in its
-    envelope, so scripted callers branch on ``error.code`` instead of
-    parsing prose.
+    A failure (malformed record, bad XML, unknown algorithm...) writes
+    the same error payload the service would put in its envelope, so
+    scripted callers branch on ``error.code`` instead of parsing prose;
+    :func:`main` then reports it like any other command's.
     """
     try:
         return _run_detect(args)
     except WmXMLError as error:
-        payload = error_payload(error)
-        print(f"error [{payload['code']}]: {error}", file=sys.stderr)
         if args.result:
             with open(args.result, "w", encoding="utf-8") as handle:
-                json.dump({"error": payload}, handle, indent=2)
+                json.dump({"error": error_payload(error)}, handle,
+                          indent=2)
                 handle.write("\n")
             print(f"error result: {args.result}", file=sys.stderr)
-        return 2
+        raise
 
 
 def _run_detect(args: argparse.Namespace) -> int:
@@ -730,16 +729,8 @@ def cmd_records(args: argparse.Namespace) -> int:
     """List, export, or restore the persistent watermark registry."""
     registry = _registry_required(args)
     if args.import_file:
-        try:
-            with open(args.import_file, "r", encoding="utf-8") as handle:
-                loaded = registry.import_jsonl(handle)
-        except OSError as error:
-            raise SystemExit(
-                f"cannot read {args.import_file!r}: {error}")
-        except WmXMLError as error:
-            print(f"error [{error_payload(error)['code']}]: {error}",
-                  file=sys.stderr)
-            return 2
+        with open(args.import_file, "r", encoding="utf-8") as handle:
+            loaded = registry.import_jsonl(handle)
         print(f"restored {loaded} rows into {args.registry}")
         return 0
     if args.export == "jsonl":
@@ -777,15 +768,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     registry = _registry_required(args)
     system = WmXMLSystem(args.key, alpha=args.alpha, registry=registry)
     shape = profile.shape(args.shape) if args.shape else None
-    try:
-        document = parse_file(args.input, strip_whitespace=True)
-        trace = system.trace(scheme, document, shape=shape,
-                             strategy=args.strategy,
-                             recipients=args.recipients or None)
-    except WmXMLError as error:
-        print(f"error [{error_payload(error)['code']}]: {error}",
-              file=sys.stderr)
-        return 2
+    document = parse_file(args.input, strip_whitespace=True)
+    trace = system.trace(scheme, document, shape=shape,
+                         strategy=args.strategy,
+                         recipients=args.recipients or None)
     print(trace)
     if trace.prime_suspect:
         print(f"prime suspect: {trace.prime_suspect}")
@@ -819,12 +805,7 @@ def cmd_ledger_recover(args: argparse.Namespace) -> int:
     registry = _registry_required(args)
     if args.key:
         registry.attach_sealer(KeyedPRF(args.key))
-    try:
-        report = registry.recover()
-    except WmXMLError as error:
-        print(f"error [{error_payload(error)['code']}]: {error}",
-              file=sys.stderr)
-        return 2
+    report = registry.recover()
     for action in report.actions:
         print(f"quarantined: {action}")
     quarantined = registry.quarantined()
@@ -970,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(enables query rewriting)")
     detect.add_argument("--alpha", type=float, default=1e-3)
     detect.add_argument("--strategy", default="auto",
-                        choices=["auto", "indexed", "scan"],
+                        choices=DETECTION_STRATEGIES,
                         help="query engine: indexed logical executor "
                         "(one shred; what 'auto' always runs, with "
                         "vote-for-vote equivalence proven on every "
@@ -1174,7 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the owner's master secret key")
     trace.add_argument("--shape", help="the copy's current organisation")
     trace.add_argument("--strategy", default="auto",
-                       choices=["auto", "indexed", "scan"])
+                       choices=DETECTION_STRATEGIES)
     trace.add_argument("--alpha", type=float, default=1e-3)
     trace.add_argument("--recipients", nargs="+",
                        help="restrict the sweep to these recipients")
@@ -1220,10 +1201,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Entry point for the ``wmxml`` console script."""
+    """Entry point for the ``wmxml`` console script.
+
+    The one place a command's failure is reported: a WmXML error prints
+    ``error [<code>]: <message>`` (its stable code, as the service
+    sends it), a missing or unreadable file ``error: <message>``, both
+    to stderr, and either ends the command with exit status 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except WmXMLError as error:
+        print(f"error [{error_code(error)}]: {error}", file=sys.stderr)
+        return 2
+    except OSError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from repro.core.algorithms import (
 from repro.core.crypto import KeyedPRF
 from repro.core.decoder import DetectionResult, WmXMLDecoder
 from repro.core.ecc import ECCode, Hamming74Code, RepetitionCode, choose_code
-from repro.core.fingerprint import Fingerprinter, IssuedCopy, TraceResult
+from repro.core.fingerprint import TraceResult
 from repro.core.encoder import (
     EmbeddingResult,
     EmbeddingStats,
@@ -78,9 +78,7 @@ __all__ = [
     "CarrierSpec",
     "DetectionResult",
     "ECCode",
-    "Fingerprinter",
     "Hamming74Code",
-    "IssuedCopy",
     "EmbeddingResult",
     "EmbeddingSlot",
     "EmbeddingStats",

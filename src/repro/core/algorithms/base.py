@@ -24,7 +24,7 @@ Contract:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.core.crypto import KeyedPRF
 from repro.errors import WmXMLError
@@ -108,3 +108,19 @@ def create_algorithm(name: str,
         return cls(**dict(params or {}))
     except TypeError as exc:
         raise AlgorithmError(f"bad parameters for {name!r}: {exc}") from None
+
+
+def cached_algorithm(cache: dict[str, WatermarkAlgorithm], name: str,
+                     params: Sequence[tuple[str, Any]],
+                     cache_key: str) -> WatermarkAlgorithm:
+    """The plug-in ``cache`` holds under ``cache_key``, made on a miss.
+
+    ``params`` is a carrier's or a stored query's ``(name, value)``
+    tuple and ``cache_key`` its precomputed ``algorithm_cache_key``;
+    the params dict is built only on a miss, not once per marked slot
+    or verified query.
+    """
+    algorithm = cache.get(cache_key)
+    if algorithm is None:
+        algorithm = cache[cache_key] = create_algorithm(name, dict(params))
+    return algorithm

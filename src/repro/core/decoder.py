@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.core.algorithms import WatermarkAlgorithm, create_algorithm
+from repro.core.algorithms.base import WatermarkAlgorithm, cached_algorithm
 from repro.core.crypto import KeyedPRF
 from repro.core.encoder import read_node_value
 from repro.core.record import WatermarkRecord
@@ -143,19 +143,6 @@ class WmXMLDecoder:
         self.alpha = alpha
         self._algorithms: dict[str, WatermarkAlgorithm] = {}
 
-    def _algorithm(self, name: str, params: tuple,
-                   cache_key: str) -> WatermarkAlgorithm:
-        """Plug-in lookup keyed by the query's precomputed cache key.
-
-        ``params`` is the query's ``(name, value)`` tuple; its dict is
-        built only on a miss, not once per query.
-        """
-        algorithm = self._algorithms.get(cache_key)
-        if algorithm is None:
-            algorithm = create_algorithm(name, dict(params))
-            self._algorithms[cache_key] = algorithm
-        return algorithm
-
     # Pickling ships only the configuration (PRF + alpha); the plug-in
     # cache is derived state a pool worker rebuilds lazily.
 
@@ -225,9 +212,10 @@ class WmXMLDecoder:
             if not authentic:
                 queries_rejected += 1
                 continue
-            algorithm = self._algorithm(wm_query.algorithm,
-                                        wm_query.params,
-                                        wm_query.algorithm_cache_key)
+            algorithm = cached_algorithm(self._algorithms,
+                                         wm_query.algorithm,
+                                         wm_query.params,
+                                         wm_query.algorithm_cache_key)
             if executor is not None:
                 try:
                     nodes = executor.execute(wm_query.query)

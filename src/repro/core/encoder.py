@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
-from repro.core.algorithms import WatermarkAlgorithm, create_algorithm
+from repro.core.algorithms.base import WatermarkAlgorithm, cached_algorithm
 from repro.core.crypto import KeyedPRF
 from repro.core.identity import build_carrier_groups
 from repro.core.record import WatermarkQuery, WatermarkRecord
@@ -143,15 +143,6 @@ class WmXMLEncoder:
         self.prf = KeyedPRF(secret_key)
         self._algorithms: dict[str, WatermarkAlgorithm] = {}
 
-    def _algorithm(self, name: str, params: dict,
-                   cache_key: str) -> WatermarkAlgorithm:
-        """Plug-in lookup keyed by the spec's precomputed cache key."""
-        algorithm = self._algorithms.get(cache_key)
-        if algorithm is None:
-            algorithm = create_algorithm(name, params)
-            self._algorithms[cache_key] = algorithm
-        return algorithm
-
     # Pickling ships only the configuration (scheme + PRF, itself lean —
     # see KeyedPRF.__getstate__); the plug-in cache is derived state a
     # pool worker rebuilds lazily on its first document.
@@ -196,8 +187,9 @@ class WmXMLEncoder:
         for slot in slots:
             group = slot.group
             carrier = group.carrier
-            algorithm = self._algorithm(carrier.algorithm, carrier.param_map,
-                                        carrier.algorithm_cache_key)
+            algorithm = cached_algorithm(self._algorithms, carrier.algorithm,
+                                         carrier.params,
+                                         carrier.algorithm_cache_key)
             bit = watermark.bits[slot.bit_index]
             embedded_any = False
             for node, value in zip(group.nodes, group.values):

@@ -14,9 +14,10 @@ keyed by content fingerprints in the task payloads, so one pool serves
 any number of deployments concurrently — see
 :mod:`repro.api.pipeline`.
 
-Failure handling: a pool whose workers died (``BrokenProcessPool``) is
-discarded so the next request forks a fresh one; callers treat the
-error as "fall back to the serial path" — parallelism is a throughput
+Failure handling is :func:`map_recovering`'s alone: a pool whose
+workers died (``BrokenProcessPool``) is discarded so the next request
+forks a fresh one, and each chunk that failed is retried once on it,
+then run serially in this process — parallelism is a throughput
 optimisation, never a correctness dependency.
 """
 
@@ -26,7 +27,7 @@ import atexit
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "BrokenProcessPool",
@@ -34,7 +35,6 @@ __all__ = [
     "chunk_evenly",
     "discard_pool",
     "map_recovering",
-    "map_sharded",
     "shared_pool",
     "shutdown_pools",
 ]
@@ -114,36 +114,21 @@ def chunk_evenly(items: Sequence[T], chunks: int) -> list[Sequence[T]]:
     return out
 
 
-def map_sharded(processes: int, func: Callable, tasks: Iterable) -> list:
-    """``pool.map`` over pre-chunked tasks, preserving order.
-
-    Exceptions raised inside a worker propagate to the caller exactly
-    as the serial path would raise them (the task payloads are the
-    chunking unit, so ``chunksize=1`` adds no IPC overhead).
-    """
-    pool = shared_pool(processes)
-    try:
-        return list(pool.map(func, tasks))
-    except BrokenProcessPool:
-        discard_pool(processes)
-        raise
-
-
-def map_recovering(processes: int, func: Callable, tasks: Iterable,
-                   serial: Optional[Callable] = None) -> list:
-    """Like :func:`map_sharded`, but failures cost one *chunk*, not
-    the batch.
+def map_recovering(processes: int, func: Callable, tasks: Iterable) -> list:
+    """``func`` over pre-chunked ``tasks`` on the shared pool, in order;
+    a failure costs one *chunk*, not the batch.
 
     A worker death (``BrokenProcessPool``) fails every in-flight
     future, but only the chunk that killed the worker is actually
     poisoned — so each unfinished chunk is retried once on a fresh
-    pool, and a chunk that still fails runs serially in this process
-    via ``serial`` (default: ``func``).  Chunks that completed before
-    the crash keep their results; order is preserved throughout.
+    pool, and a chunk that still fails runs ``func`` serially in this
+    process.  A chunk that raised in a worker or could not be pickled
+    (a tree too deep for pickle's recursion) takes the same ladder.
+    Chunks that completed before the crash keep their results.
 
-    A chunk whose serial run *also* raises propagates normally: the
-    recovery ladder absorbs infrastructure failures, never correctness
-    errors.
+    A chunk whose serial run *also* raises propagates normally, exactly
+    as a serial batch would raise it: the recovery ladder absorbs
+    infrastructure failures, never correctness errors.
     """
     tasks = list(tasks)
     results: list = [None] * len(tasks)
@@ -173,7 +158,6 @@ def map_recovering(processes: int, func: Callable, tasks: Iterable,
                 pass
         if broken:
             discard_pool(processes)
-    serial_func = func if serial is None else serial
     for index in sorted(pending):
-        results[index] = serial_func(tasks[index])
+        results[index] = func(tasks[index])
     return results

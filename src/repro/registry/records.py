@@ -13,10 +13,9 @@ and serve over the wire.
 * ``"system"`` — a plain embed under the owner's key; the recipient is
   whatever identity the message named.
 * ``"recipient"`` — a fingerprinted copy under the *derived*
-  per-recipient key (``HMAC(master, "fingerprint-key", recipient)``,
-  the :class:`~repro.core.fingerprint.Fingerprinter` derivation), which
-  is what makes collusion-resistant traitor tracing possible: derived
-  keys select *different* element subsets per recipient.
+  per-recipient key (:meth:`~repro.api.system.WmXMLSystem.recipient_key`),
+  which is what makes collusion-resistant traitor tracing possible:
+  derived keys select *different* element subsets per recipient.
 
 ``content_hash()`` is the record's binding into the provenance ledger:
 a :class:`~repro.registry.ledger.LedgerBlock` stores it at append

@@ -464,11 +464,7 @@ class WmXMLService:
         if expected is not None and not isinstance(expected, str):
             raise MalformedRequestError(
                 "request field 'expected' must be a string")
-        strategy = request.get("strategy", "auto")
-        if strategy not in DETECTION_STRATEGIES:
-            raise MalformedRequestError(
-                f"unknown detection strategy {strategy!r}; choices: "
-                f"{DETECTION_STRATEGIES}")
+        strategy = _request_strategy(request)
         shape = _request_shape(request)
         if batch:
             documents = _document_list(request)
@@ -561,7 +557,7 @@ class WmXMLService:
 
     def _records(self, query: dict, claims: TokenClaims
                  ) -> tuple[int, dict, dict]:
-        registry = self._registry()
+        self._registry()
         recipient = _single_param(query, "recipient")
         fingerprints = self._scheme_filters(query, claims)
         document_hash = _single_param(query, "document_hash")
@@ -570,16 +566,11 @@ class WmXMLService:
         if offset < 0 or limit < 0:
             raise MalformedRequestError(
                 "'offset' and 'limit' must be non-negative")
-        # Each fingerprint's rows are read once; a rotated scheme's
-        # per-generation result sets merge back into sequence order,
-        # and the merge is paged by hand.
-        merged = []
-        for fingerprint in fingerprints:
-            merged.extend(registry.records(
-                recipient=recipient, scheme_fingerprint=fingerprint,
-                document_hash=document_hash, tenant=claims.tenant))
-        merged.sort(key=lambda entry: entry.sequence
-                    if entry.sequence is not None else 0)
+        # A rotated scheme's per-generation result sets come back
+        # merged into sequence order, and the merge is paged by hand.
+        merged = self.directory.records(
+            claims.tenant, fingerprints, recipient=recipient,
+            document_hash=document_hash)
         return 200, protocol.ok_response({
             "records": [entry.to_dict()
                         for entry in merged[offset:offset + limit]],
@@ -607,11 +598,7 @@ class WmXMLService:
                 or not all(isinstance(item, str) for item in recipients)):
             raise MalformedRequestError(
                 "request field 'recipients' must be a list of strings")
-        strategy = request.get("strategy", "auto")
-        if strategy not in DETECTION_STRATEGIES:
-            raise MalformedRequestError(
-                f"unknown detection strategy {strategy!r}; choices: "
-                f"{DETECTION_STRATEGIES}")
+        strategy = _request_strategy(request)
         # The directory's trace never leaves the caller's registry
         # namespace and sweeps every key generation of the scheme.
         trace = self.directory.trace(
@@ -770,6 +757,16 @@ def _etag_matches(header_value: Optional[str], etag: str) -> bool:
         if candidate == etag:
             return True
     return False
+
+
+def _request_strategy(request: dict) -> str:
+    """The request's detection strategy (``"auto"`` when absent)."""
+    strategy = request.get("strategy", "auto")
+    if strategy not in DETECTION_STRATEGIES:
+        raise MalformedRequestError(
+            f"unknown detection strategy {strategy!r}; choices: "
+            f"{DETECTION_STRATEGIES}")
+    return strategy
 
 
 def _request_shape(request: dict) -> Optional[DocumentShape]:

@@ -33,7 +33,8 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Tuple,
 from repro.api.system import WmXMLSystem, only_recipients, sweep_trace
 from repro.core.fingerprint import TraceResult
 from repro.core.scheme import WatermarkingScheme
-from repro.registry import RegistryNotConfiguredError, WatermarkRegistry
+from repro.registry import (RegistryNotConfiguredError, RegistryRecord,
+                            WatermarkRegistry)
 
 from .config import TenantConfig, TenantsConfig
 from .errors import ForbiddenError, TenantConfigError, UnauthorizedError
@@ -311,6 +312,28 @@ class TenantDirectory:
                 "TenantDirectory(registry=...) or run with --registry")
         return self.registry
 
+    def records(self, tenant: Optional[str],
+                scheme_fingerprints: Iterable[Optional[str]], *,
+                recipient: Optional[str] = None,
+                document_hash: Optional[str] = None
+                ) -> List[RegistryRecord]:
+        """``tenant``'s records under any of ``scheme_fingerprints``
+        (``None`` matches every scheme), in sequence order.
+
+        One registry read per fingerprint, merged: a scheme rotated
+        across key generations has one fingerprint per generation
+        (:meth:`scheme_fingerprints`).
+        """
+        registry = self._require_registry()
+        merged: List[RegistryRecord] = []
+        for fingerprint in scheme_fingerprints:
+            merged.extend(registry.records(
+                recipient=recipient, scheme_fingerprint=fingerprint,
+                document_hash=document_hash, tenant=tenant))
+        merged.sort(key=lambda entry: entry.sequence
+                    if entry.sequence is not None else 0)
+        return merged
+
     def trace(self, tenant: str, scheme: str, document, *,
               shape=None, strategy: str = "auto",
               recipients: Optional[Iterable[str]] = None) -> TraceResult:
@@ -321,19 +344,8 @@ class TenantDirectory:
         each one under the generation that embedded it — but it never
         leaves the tenant's registry namespace.
         """
-        registry = self._require_registry()
-        entries = []
-        seen_fingerprints = set()
-        for key_id in self._key_ids():
-            fingerprint = self.system(tenant, key_id) \
-                .scheme_fingerprint(scheme)
-            if fingerprint in seen_fingerprints:
-                continue
-            seen_fingerprints.add(fingerprint)
-            entries.extend(registry.records(
-                scheme_fingerprint=fingerprint, tenant=tenant))
-        entries.sort(key=lambda e: e.sequence
-                     if e.sequence is not None else 0)
+        entries = self.records(tenant,
+                               self.scheme_fingerprints(tenant, scheme))
         return sweep_trace(
             only_recipients(entries, recipients), document, scheme,
             lambda entry: self.system(tenant, entry.key_id),

@@ -569,14 +569,12 @@ def parse_many(texts: Iterable[str], strip_whitespace: bool = False,
     document propagates as the same :class:`XMLSyntaxError` the serial
     path would raise.
 
-    One sharding caveat: pickle walks the parent/child links
-    recursively, so a pathologically deep tree (thousands of nested
-    elements) can exceed the interpreter's recursion limit on the trip
-    back from a worker even though the scanner itself parses it fine.
-    That surfaces as a ``RecursionError`` in the parent (a dead worker
-    as ``BrokenProcessPool``), and the batch transparently falls back
-    to the serial path — correctness is preserved; only the
-    parallelism is lost.
+    Failures are recovered per chunk by
+    :func:`repro.parallel.map_recovering`, as in the batch embed and
+    detect: pickle walks the parent/child links recursively, so a chunk
+    holding a pathologically deep tree (thousands of nested elements)
+    cannot travel back from a worker even though the scanner parses it
+    fine, and that chunk alone is parsed again in this process.
     """
     batch = list(texts)
     if processes is not None and processes > 1 and len(batch) > 1:
@@ -586,11 +584,8 @@ def parse_many(texts: Iterable[str], strip_whitespace: bool = False,
             (tuple(chunk), strip_whitespace)
             for chunk in parallel.chunk_evenly(
                 batch, processes * parallel.CHUNKS_PER_WORKER)]
-        try:
-            chunks = parallel.map_sharded(processes, _parse_chunk, payloads)
-            return [document for chunk in chunks for document in chunk]
-        except (RecursionError, parallel.BrokenProcessPool):
-            pass  # tree too deep to pickle — parse serially below
+        chunks = parallel.map_recovering(processes, _parse_chunk, payloads)
+        return [document for chunk in chunks for document in chunk]
     parser = XMLParser(strip_whitespace=strip_whitespace)
     return [parser.parse(text) for text in batch]
 

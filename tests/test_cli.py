@@ -229,6 +229,34 @@ class TestSchemeArtefactFlow:
                 "-r", "r.json", "-k", "k", "-m", "m")
 
 
+class TestErrorReporting:
+    """``main`` reports a failed command in one line and exits 2."""
+
+    def test_malformed_input_is_reported(self, workspace, capsys):
+        bad = workspace / "bad.xml"
+        bad.write_text("<db><book><title>x</title></db>")
+        marked = workspace / "out.xml"
+        code = run("embed", "-i", str(bad), "-o", str(marked),
+                   "-r", str(workspace / "rec.json"), "-k", "k", "-m", "hi")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [xml-syntax]: ")
+        assert err.count("\n") == 1
+        assert not marked.exists()
+
+    def test_missing_record_is_reported(self, workspace, capsys):
+        data = workspace / "data.xml"
+        run("generate", "--profile", "bibliography", "--size", "5",
+            "-o", str(data))
+        capsys.readouterr()
+        missing = workspace / "missing.json"
+        code = run("detect", "-i", str(data), "-r", str(missing),
+                   "-k", "k")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+
 class TestOtherCommands:
     @pytest.mark.parametrize("argv", [
         pytest.param(["embed", "-i", "{ws}/d.xml", "-o", "{ws}/m.xml",

@@ -3,6 +3,7 @@ export, error-correcting codes, and fingerprinting with collusion."""
 
 import pytest
 
+from repro.api import Fingerprinter
 from repro.attacks import (
     CollusionAttack,
     ReductionAttack,
@@ -10,7 +11,6 @@ from repro.attacks import (
     ValueAlterationAttack,
 )
 from repro.core import (
-    Fingerprinter,
     Hamming74Code,
     RepetitionCode,
     Watermark,

@@ -25,7 +25,7 @@ from repro.core import Watermark
 from repro.core.crypto import KeyedPRF
 from repro.datasets import bibliography, library
 from repro.errors import WmXMLError
-from repro.xmlmodel import parse, serialize
+from repro.xmlmodel import parse, parse_many, serialize
 from repro.xmlmodel.errors import XMLSyntaxError
 
 KEY = "parallel-engine-key"
@@ -384,3 +384,32 @@ class TestSystemFacade:
                                              strategy="scan", processes=2)
         assert ([outcome.to_dict() for outcome in pooled_outcomes]
                 == [outcome.to_dict() for outcome in serial_outcomes])
+
+
+class TestTreesTooDeepToPickle:
+    """A tree pickle cannot carry costs its chunk a run in this process,
+    through the same per-chunk recovery as any other pool failure."""
+
+    DEPTH = 5000
+
+    def test_deep_document_batch_matches_serial(self, pipeline,
+                                                batch_texts):
+        chain = "<note>" * self.DEPTH + "x" + "</note>" * self.DEPTH
+        deep = batch_texts[0].replace("</book>", chain + "</book>", 1)
+        documents = [parse(text, strip_whitespace=True)
+                     for text in [deep] + batch_texts[1:4]]
+        serial = pipeline.embed_many(documents, MESSAGE, output="xml")
+        pooled = pipeline.embed_many(documents, MESSAGE, processes=2,
+                                     output="xml")
+        assert chain in pooled[0].xml
+        assert [item.xml for item in pooled] == [item.xml for item in serial]
+        assert ([item.record.to_dict() for item in pooled]
+                == [item.record.to_dict() for item in serial])
+
+    def test_pooled_parse_of_a_deep_text_matches_serial(self):
+        deep = "<d>" * self.DEPTH + "x" + "</d>" * self.DEPTH
+        texts = [deep, "<a/>", '<b x="1">t</b>']
+        pooled = parse_many(texts, processes=2)
+        assert ([serialize(document) for document in pooled]
+                == [serialize(document) for document in parse_many(texts)]
+                == texts)

@@ -31,6 +31,7 @@ from repro.api import Pipeline, WmXMLSystem
 from repro.core.watermark import MAX_WATERMARK_BITS
 from repro.datasets import bibliography
 from repro.errors import WmXMLError
+from repro.registry import WatermarkRegistry
 from repro.service import (
     FINGERPRINT_HEADER,
     PROTOCOL_HEADER,
@@ -173,14 +174,19 @@ class TestDispatchProtocol:
         assert status == 400
         assert payload["error"]["code"] == "bad-record"
 
-    def test_bad_strategy_rejected(self, service, golden_text, local):
-        status, payload, _ = service.dispatch(
-            "POST", "/v1/detect",
+    @pytest.mark.parametrize("path", ["/v1/detect", "/v1/trace"])
+    def test_bad_strategy_rejected(self, golden_text, local, path):
+        # A registry, so that a trace gets as far as its strategy.
+        system = WmXMLSystem(KEY, registry=WatermarkRegistry())
+        system.register("books", bibliography.default_scheme(2))
+        status, payload, _ = WmXMLService(system).dispatch(
+            "POST", path,
             _request_body(scheme="books", document=golden_text,
                           record=local.record.to_dict(),
                           strategy="quantum"))
         assert status == 400
         assert payload["error"]["code"] == "malformed-request"
+        assert "'quantum'" in payload["error"]["message"]
 
     def test_oversize_body_is_413(self, system):
         small = WmXMLService(system, max_body_bytes=64)

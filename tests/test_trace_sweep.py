@@ -6,7 +6,9 @@ detection reuses, whichever key the record was issued under:
 
 * one shred per trace for :meth:`WmXMLSystem.trace` (recipient and
   owner records mixed), :meth:`TenantDirectory.trace` (two key
-  generations) and :meth:`Fingerprinter.trace`;
+  generations) and :meth:`Fingerprinter.trace`, which traces through a
+  ``WmXMLSystem`` of its own and so verifies every copy it issued, a
+  recipient's earlier copies included;
 * no shred when the sweep has no records, so a malformed suspect still
   raises nothing on an empty registry, and an unknown recipient is
   refused before the suspect is looked at;
@@ -23,10 +25,9 @@ import json
 
 import pytest
 
-from repro.api import WmXMLSystem
+from repro.api import Fingerprinter, WmXMLSystem
 from repro.api.system import recorded_message
 from repro.core import Watermark, WmXMLDecoder
-from repro.core.fingerprint import Fingerprinter
 from repro.datasets import bibliography
 from repro.datasets.bibliography import BibliographyConfig
 from repro.errors import WmXMLError
@@ -161,6 +162,17 @@ class TestOneShredPerTrace:
         fingerprinter = Fingerprinter(bibliography.default_scheme(2), KEY)
         assert fingerprinter.trace(MALFORMED).verdicts == {}
         assert shreds == []
+
+    def test_fingerprinter_traces_a_recipients_first_copy(self, shreds):
+        fingerprinter = Fingerprinter(bibliography.default_scheme(2), KEY)
+        first = fingerprinter.issue(parse(_text(6)), "alice")
+        fingerprinter.issue(parse(_text(7)), "alice")
+        fingerprinter.issue(parse(_text(8)), "bob")
+        shreds.clear()
+        trace = fingerprinter.trace(first.document)
+        assert trace.prime_suspect == "alice"
+        assert fingerprinter.issued_recipients == ["alice", "bob"]
+        assert len(shreds) == 1
 
     def test_scan_builds_no_executor(self, mixed, shreds, executor_builds):
         system, copies = mixed

@@ -3,7 +3,7 @@
 A trace verifies every issued record against one suspected copy and
 keeps each recipient's strongest verdict.  The files under
 ``tests/trace_vectors/`` hold the canonical JSON of
-``TraceResult.to_dict()`` for four seeded cases, captured before the
+``TraceResult.to_dict()`` for five seeded cases, captured before the
 sweep was changed to shred the suspected copy once per trace; any
 change to how a trace runs must leave these bytes alone:
 
@@ -14,7 +14,10 @@ change to how a trace runs must leave these bytes alone:
 * ``scan`` — the altered leak under ``strategy="scan"``, which must
   also equal the indexed bytes;
 * ``tenant-rotation`` — a tenant-directory trace over records of two
-  key generations, taken after ``rotate()``.
+  key generations, taken after ``rotate()``;
+* ``fingerprinter`` — :meth:`Fingerprinter.trace` of a 10%-altered
+  leak over 12 seeded copies, one per recipient (captured before the
+  class was folded into :class:`WmXMLSystem`).
 
 A system verifies recipients' records under warm verifiers it holds
 apart from issuance's recipient LRU, up to ``VERIFIER_BUDGET_QUERIES``
@@ -30,7 +33,7 @@ from pathlib import Path
 import pytest
 
 import repro.api.system as system_mod
-from repro.api import WmXMLSystem
+from repro.api import Fingerprinter, WmXMLSystem
 from repro.attacks import ReorganizationAttack, ValueAlterationAttack
 from repro.datasets import bibliography
 from repro.datasets.bibliography import BibliographyConfig
@@ -128,12 +131,24 @@ def trace_tenant_rotation():
     return directory.trace("acme", "books", leak)
 
 
+def trace_fingerprinter():
+    fingerprinter = Fingerprinter(bibliography.default_scheme(2), KEY)
+    texts = _texts(4)
+    copies = {name: fingerprinter.issue(parse(texts[index % 4]), name)
+              for index, name in enumerate(RECIPIENTS)}
+    return fingerprinter.trace(_altered(copies[LEAKER].document))
+
+
 CASES = {
     "altered-leak": trace_altered_leak,
     "reorganized": trace_reorganized,
     "scan": trace_scan,
     "tenant-rotation": trace_tenant_rotation,
+    "fingerprinter": trace_fingerprinter,
 }
+# The cases built over a registry the test hands in; a ``Fingerprinter``
+# keeps its records in a registry of its own.
+REGISTRY_CASES = sorted(set(CASES) - {"fingerprinter"})
 
 
 def _vector(name):
@@ -150,6 +165,7 @@ def test_vectors_accuse_the_leaker():
     assert json.loads(_vector("altered-leak"))["prime_suspect"] == LEAKER
     assert json.loads(_vector("reorganized"))["prime_suspect"] == LEAKER
     assert json.loads(_vector("tenant-rotation"))["prime_suspect"] == "bo"
+    assert json.loads(_vector("fingerprinter"))["prime_suspect"] == LEAKER
 
 
 def test_every_record_is_verdicted():
@@ -183,7 +199,7 @@ def _tracer(name, registry):
     return lambda: system.trace("books", leak, strategy=strategy)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", REGISTRY_CASES)
 def test_sqlite_trace_bytes_match_vector_cold_and_warm(name, tmp_path):
     """The vectors hold over the SQLite read path, whose second trace
     reuses the records the first decoded, and no trace mutates them."""
@@ -226,7 +242,7 @@ def small_budget(monkeypatch):
     return cut
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", REGISTRY_CASES)
 def test_trace_bytes_hold_past_the_verifier_budget(name, small_budget):
     """With room for about three records' queries, the records past the
     budget verify under fresh pipelines, and the bytes stay the same."""
