@@ -10,7 +10,9 @@ that a second trace answers the same verdicts from the records the
 first one decoded, that ``GET /v1/ledger/verify`` still reports an
 intact chain, that rewriting one record's payload in the database file
 under the running daemon makes it answer ``chain-broken``, and that
-both daemon lifetimes exit 0 on SIGTERM.
+both daemon lifetimes exit 0 on SIGTERM with the write-ahead log
+checkpointed into the database file (``registry.db-wal`` absent or
+empty).
 
 Run from the repo root::
 
@@ -43,6 +45,13 @@ RECIPIENTS = ("alice", "bob", "carol", "dave", "erin")
 COLLUDERS = ("alice", "carol", "erin")
 #: 5 recipients x 4 documents = the 20 issued copies the registry holds.
 DOCS_PER_RECIPIENT = 4
+
+
+def assert_wal_checkpointed(registry_path: str) -> None:
+    """A cleanly stopped daemon leaves no write-ahead log behind."""
+    wal = registry_path + "-wal"
+    size = os.path.getsize(wal) if os.path.exists(wal) else 0
+    assert size == 0, f"{wal} still holds {size} bytes after SIGTERM"
 
 
 def main() -> int:
@@ -87,7 +96,8 @@ def main() -> int:
         finally:
             returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"
-        print("first lifetime: clean shutdown ok (exit 0)")
+        assert_wal_checkpointed(registry_path)
+        print("first lifetime: clean shutdown ok (exit 0, WAL checkpointed)")
 
         # -- the leak: three recipients collude offline ------------------
         attacked = CollusionAttack(
@@ -147,7 +157,9 @@ def main() -> int:
         finally:
             returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"
-        print("second lifetime: clean shutdown ok (exit 0)")
+        assert_wal_checkpointed(registry_path)
+        print("second lifetime: clean shutdown ok (exit 0, WAL "
+              "checkpointed)")
         print("REGISTRY SMOKE PASSED")
         return 0
 

@@ -56,9 +56,9 @@ task inside a process-pool worker:
   only to be re-pickled out for embedding); with ``output="xml"`` the
   marked tree is serialised in the worker too and only markup text
   returns.
-* Results come back in input order.  A failed chunk (dead worker, a
-  tree too deep to pickle, an error raised in the worker) is retried
-  once on a fresh pool, then run serially in this process
+* Results come back in input order.  A chunk lost to a dead worker is
+  retried once on a fresh pool, then run serially in this process, and
+  a chunk that raised in a worker runs once serially in this process
   (:func:`repro.parallel.map_recovering`), so a syntax error
   propagates exactly as the serial path would raise it: parallelism
   is a throughput optimisation, never a correctness dependency.

@@ -721,6 +721,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             raise
         raise SystemExit(
             f"cannot bind {args.host}:{args.port}: {error}")
+    # Closing the SQLite connection checkpoints its WAL into the
+    # database file; interpreter teardown is not relied on to do it.
+    if service.directory.registry is not None:
+        service.directory.registry.close()
     print("wmxml serve: shut down cleanly")
     return 0
 

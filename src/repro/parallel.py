@@ -14,16 +14,21 @@ keyed by content fingerprints in the task payloads, so one pool serves
 any number of deployments concurrently — see
 :mod:`repro.api.pipeline`.
 
+Each worker's initializer freezes the heap it was forked with (moves
+it into the collector's permanent generation), so its collections walk
+only the objects it built itself, not the modules it inherited.
+
 Failure handling is :func:`map_recovering`'s alone: a pool whose
 workers died (``BrokenProcessPool``) is discarded so the next request
-forks a fresh one, and each chunk that failed is retried once on it,
-then run serially in this process — parallelism is a throughput
-optimisation, never a correctness dependency.
+forks a fresh one, each chunk lost with it is retried once there, and a
+chunk that raised runs once in this process — parallelism is a
+throughput optimisation, never a correctness dependency.
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -58,14 +63,16 @@ def shared_pool(processes: int) -> ProcessPoolExecutor:
     """The persistent executor with ``processes`` workers (lazily forked).
 
     Workers are started on demand by the executor itself, so asking for
-    a pool is cheap until work is actually submitted.
+    a pool is cheap until work is actually submitted.  Each worker
+    starts by freezing what it inherited.
     """
     if processes < 1:
         raise ValueError("processes must be >= 1")
     with _POOLS_LOCK:
         pool = _POOLS.get(processes)
         if pool is None:
-            pool = ProcessPoolExecutor(max_workers=processes)
+            pool = ProcessPoolExecutor(max_workers=processes,
+                                       initializer=gc.freeze)
             _POOLS[processes] = pool
         return pool
 
@@ -120,11 +127,12 @@ def map_recovering(processes: int, func: Callable, tasks: Iterable) -> list:
 
     A worker death (``BrokenProcessPool``) fails every in-flight
     future, but only the chunk that killed the worker is actually
-    poisoned — so each unfinished chunk is retried once on a fresh
-    pool, and a chunk that still fails runs ``func`` serially in this
-    process.  A chunk that raised in a worker or could not be pickled
-    (a tree too deep for pickle's recursion) takes the same ladder.
-    Chunks that completed before the crash keep their results.
+    poisoned — so each chunk lost to a broken pool is retried once on a
+    fresh pool, and one lost again runs ``func`` serially in this
+    process.  A chunk whose future raised anything else (an error raised
+    in the worker, a task that could not be pickled) runs once in this
+    process, with no pool retry.  Chunks that completed keep their
+    results.
 
     A chunk whose serial run *also* raises propagates normally, exactly
     as a serial batch would raise it: the recovery ladder absorbs
@@ -133,6 +141,7 @@ def map_recovering(processes: int, func: Callable, tasks: Iterable) -> list:
     tasks = list(tasks)
     results: list = [None] * len(tasks)
     pending = set(range(len(tasks)))
+    raised: set[int] = set()
     for _attempt in range(2):
         if not pending:
             break
@@ -153,11 +162,12 @@ def map_recovering(processes: int, func: Callable, tasks: Iterable) -> list:
             except BrokenProcessPool:
                 broken = True
             except Exception:
-                # The chunk failed but the pool survived; leave it
-                # pending for the retry / serial ladder.
-                pass
+                # The pool survived: a fresh one would fail the same
+                # way, so the chunk goes straight to the serial run.
+                pending.discard(index)
+                raised.add(index)
         if broken:
             discard_pool(processes)
-    for index in sorted(pending):
+    for index in sorted(pending | raised):
         results[index] = func(tasks[index])
     return results

@@ -43,6 +43,7 @@ GIL.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Iterable, Optional
 
 from repro.xmlmodel.errors import XMLNameError, XMLSyntaxError
@@ -204,9 +205,12 @@ class _Scanner:
         if closed:
             return root
 
-        #: (element, start offset of its ``<``, text parts, ``</tag>``)
-        stack: list[tuple[Element, int, list[str], str]] = []
+        #: (element, its weak reference, start offset of its ``<``, text
+        #: parts, ``</tag>``).  Every child of an element gets that
+        #: element's one weak reference as its parent link.
+        stack: list[tuple[Element, weakref.ref, int, list[str], str]] = []
         current = root
+        current_ref = weakref.ref(root)
         current_start = root_start
         parts: list[str] = []
         end_literal = f"</{root.tag}>"
@@ -217,7 +221,7 @@ class _Scanner:
             if strip_whitespace and not value.strip():
                 return
             node = blank_text(value)
-            node.parent = current
+            node._parent = current_ref
             current.children.append(node)
 
         while True:
@@ -254,7 +258,8 @@ class _Scanner:
                 if not stack:
                     self.pos = pos
                     return root
-                current, current_start, parts, end_literal = stack.pop()
+                (current, current_ref, current_start, parts,
+                 end_literal) = stack.pop()
             elif after == "!":
                 if startswith("<!--", angle):
                     if parts:
@@ -262,7 +267,7 @@ class _Scanner:
                     self.pos = angle
                     node = self._parse_comment()
                     pos = self.pos
-                    node.parent = current
+                    node._parent = current_ref
                     current.children.append(node)
                 elif startswith("<![CDATA[", angle):
                     end = find("]]>", angle + 9)
@@ -279,7 +284,7 @@ class _Scanner:
                 self.pos = angle
                 node = self._parse_pi()
                 pos = self.pos
-                node.parent = current
+                node._parent = current_ref
                 current.children.append(node)
             else:
                 # Child element.  The attribute-free form — the dominant
@@ -298,12 +303,13 @@ class _Scanner:
                 else:
                     child, closed, pos = self._parse_open_tag(angle)
                     tag = child.tag
-                child.parent = current
+                child._parent = current_ref
                 current.children.append(child)
                 if not closed:
-                    stack.append((current, current_start, parts,
-                                  end_literal))
+                    stack.append((current, current_ref, current_start,
+                                  parts, end_literal))
                     current, current_start, parts = child, angle, []
+                    current_ref = weakref.ref(child)
                     end_literal = f"</{tag}>"
 
     # -- tags ------------------------------------------------------------
@@ -571,10 +577,10 @@ def parse_many(texts: Iterable[str], strip_whitespace: bool = False,
 
     Failures are recovered per chunk by
     :func:`repro.parallel.map_recovering`, as in the batch embed and
-    detect: pickle walks the parent/child links recursively, so a chunk
-    holding a pathologically deep tree (thousands of nested elements)
-    cannot travel back from a worker even though the scanner parses it
-    fine, and that chunk alone is parsed again in this process.
+    detect: a chunk holding a malformed document is parsed once more in
+    this process, which raises its error.  A tree pickles as one flat
+    list (``Element.__reduce__``), so any depth the scanner parses
+    also travels back from a worker.
     """
     batch = list(texts)
     if processes is not None and processes > 1 and len(batch) > 1:

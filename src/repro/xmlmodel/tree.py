@@ -13,6 +13,13 @@ Nodes are identity-hashable (so they can live in sets and dicts while the
 tree is being rewritten) and offer *structural* equality through
 :meth:`Node.equals` rather than ``__eq__``.
 
+A node holds its parent through a weak reference, so a tree's only
+strong references point down: a dropped document is freed by
+reference counting as soon as its last reference goes, without
+waiting for the cyclic collector.  Hold the :class:`Document` (or its
+root) while working with its nodes; a node whose tree has been freed
+reads ``parent is None``.
+
 Nothing here knows about watermarking; higher layers (XPath, semantics,
 core) build on these primitives.
 """
@@ -20,6 +27,7 @@ core) build on these primitives.
 from __future__ import annotations
 
 import re
+import weakref
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.xmlmodel.errors import XMLNameError, XMLTreeError
@@ -54,10 +62,20 @@ class Node:
     root container, not a :class:`Node`.
     """
 
-    __slots__ = ("parent",)
+    __slots__ = ("_parent", "__weakref__")
 
     def __init__(self) -> None:
-        self.parent: Optional[Element] = None
+        self._parent: Optional[weakref.ref] = None
+
+    @property
+    def parent(self) -> Optional["Element"]:
+        """The containing element, or None when detached or freed."""
+        ref = self._parent
+        return None if ref is None else ref()
+
+    @parent.setter
+    def parent(self, element: Optional["Element"]) -> None:
+        self._parent = None if element is None else weakref.ref(element)
 
     # -- identity & structure -------------------------------------------------
 
@@ -90,9 +108,10 @@ class Node:
 
         Raises :class:`XMLTreeError` when the node is detached.
         """
-        if self.parent is None:
+        parent = self.parent
+        if parent is None:
             raise XMLTreeError("node has no parent")
-        for index, child in enumerate(self.parent.children):
+        for index, child in enumerate(parent.children):
             if child is self:
                 return index
         raise XMLTreeError("node not found among parent's children")
@@ -103,7 +122,7 @@ class Node:
         if parent is not None:
             parent.children.remove(self)
             parent._child_index = None
-            self.parent = None
+            self._parent = None
         return self
 
     # -- string value ------------------------------------------------------------
@@ -128,9 +147,12 @@ class Text(Node):
     def _blank(cls, value: str) -> "Text":
         """Fast construction for the parser: value already known to be str."""
         node = cls.__new__(cls)
-        node.parent = None
+        node._parent = None
         node.value = value
         return node
+
+    def __reduce__(self):
+        return Text, (self.value,)
 
     def equals(self, other: Node) -> bool:
         return isinstance(other, Text) and other.value == self.value
@@ -157,6 +179,9 @@ class Comment(Node):
             raise XMLTreeError("comment content must not contain '--'")
         self.value = value
 
+    def __reduce__(self):
+        return Comment, (self.value,)
+
     def equals(self, other: Node) -> bool:
         return isinstance(other, Comment) and other.value == self.value
 
@@ -179,6 +204,9 @@ class ProcessingInstruction(Node):
         super().__init__()
         self.target = validate_name(target)
         self.data = data
+
+    def __reduce__(self):
+        return ProcessingInstruction, (self.target, self.data)
 
     def equals(self, other: Node) -> bool:
         return (
@@ -248,7 +276,7 @@ class Element(Node):
         ``__init__`` while producing the identical initial state.
         """
         element = cls.__new__(cls)
-        element.parent = None
+        element._parent = None
         element.tag = tag
         element.attributes = {}
         element.children = []
@@ -496,7 +524,8 @@ class Element(Node):
 
     def copy(self) -> "Element":
         # An explicit stack, not recursion, so any depth the scanner
-        # parses also copies.
+        # parses also copies.  The children of one element share its
+        # one weak reference.
         blank = Element._blank
         clone = blank(self.tag)
         clone.attributes = dict(self.attributes)
@@ -504,6 +533,7 @@ class Element(Node):
         while stack:
             source, target = stack.pop()
             children = target.children
+            parent = weakref.ref(target)
             for child in source.children:
                 if isinstance(child, Element):
                     copied = blank(child.tag)
@@ -511,12 +541,57 @@ class Element(Node):
                     stack.append((child, copied))
                 else:
                     copied = child.copy()
-                copied.parent = target
+                copied._parent = parent
                 children.append(copied)
         return clone
 
+    def __reduce__(self):
+        # One flat pre-order list from an explicit stack, so any depth
+        # the scanner parses also pickles; an element becomes (tag,
+        # attributes, child count).  The parent link is not followed:
+        # pickling a node ships its subtree only.
+        flat: list = []
+        stack: list[Node] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Element):
+                children = node.children
+                flat.append((node.tag, node.attributes, len(children)))
+                stack.extend(reversed(children))
+            else:
+                flat.append(node)
+        return _unflatten, (flat,)
+
     def __repr__(self) -> str:
         return f"Element({self.tag!r}, attrs={len(self.attributes)}, children={len(self.children)})"
+
+
+def _unflatten(flat: list) -> Element:
+    """Rebuild the tree :meth:`Element.__reduce__` flattened."""
+    blank = Element._blank
+    root = None
+    #: [children list, weak ref to their element, children still due]
+    open_elements: list[list] = []
+    for item in flat:
+        count = 0
+        if isinstance(item, tuple):
+            tag, attributes, count = item
+            node = blank(tag)
+            node.attributes = attributes
+        else:
+            node = item
+        if open_elements:
+            frame = open_elements[-1]
+            frame[0].append(node)
+            node._parent = frame[1]
+            frame[2] -= 1
+            if not frame[2]:
+                open_elements.pop()
+        else:
+            root = node
+        if count:
+            open_elements.append([node.children, weakref.ref(node), count])
+    return root
 
 
 def _significant_children(element: Element) -> list[Node]:

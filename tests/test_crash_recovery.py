@@ -11,9 +11,10 @@ The failure model (driven by :mod:`repro.faults`):
   tail is quarantined — preserved, never deleted — and the remaining
   chain verifies.  Interior damage is tampering, not a crash: recovery
   reports ``chain-broken`` and touches nothing.
-* **Worker death** — a process-pool chunk that dies or raises is
-  retried once on a fresh pool, then serially in the parent, and the
-  batch output stays bit-identical to an all-serial run.
+* **Worker death** — a process-pool chunk whose worker died is
+  retried once on a fresh pool, then serially in the parent; a chunk
+  that raised runs once serially in the parent.  Either way the batch
+  output stays bit-identical to an all-serial run.
 """
 
 import os
@@ -40,7 +41,9 @@ from repro.registry import (
     next_block,
 )
 from repro.registry.sqlite import BUSY_TIMEOUT_MS
-from repro.xmlmodel import serialize
+from repro.parallel import map_recovering
+from repro.xmlmodel import parse, serialize
+from repro.xmlmodel.errors import XMLSyntaxError
 
 KEY = "crash-recovery-key"
 SEALER = KeyedPRF(KEY)
@@ -473,7 +476,32 @@ def pool_texts():
     ]
 
 
+class _LoggedParse:
+    """A pool task that parses its texts, logging each to a file first,
+    in whichever process runs it."""
+
+    def __init__(self, log: str) -> None:
+        self.log = log
+
+    def __call__(self, texts):
+        with open(self.log, "a", encoding="utf-8") as handle:
+            handle.writelines(text + "\n" for text in texts)
+        return [parse(text) for text in texts]
+
+
 class TestPoolChunkRecovery:
+    def test_a_raising_chunk_runs_once_more_in_the_caller(self, tmp_path):
+        """An error raised in a live worker is not retried on the pool:
+        the chunk runs once in this process, which raises it.  The
+        chunks are the ones ``parse_many`` cuts from these four texts
+        on two workers."""
+        log = tmp_path / "attempts.log"
+        bad = "<a><b></a>"
+        with pytest.raises(XMLSyntaxError):
+            map_recovering(2, _LoggedParse(str(log)),
+                           [("<a/>",), (bad,), ("<c/>",), ("<d/>",)])
+        assert log.read_text(encoding="utf-8").splitlines().count(bad) == 2
+
     def test_raising_chunk_recovers_to_serial_output(self, pool_pipeline,
                                                      pool_texts):
         serial = pool_pipeline.embed_many(pool_texts, "(c) pool")

@@ -14,17 +14,21 @@ contracts this module locks down:
   the golden vectors hold through a ``processes=2`` batch.
 """
 
+import gc
 import hashlib
 import json
+import os
 import pickle
 
 import pytest
 
 from repro.api import Pipeline, WmXMLSystem
+from repro.api import pipeline as pipeline_module
 from repro.core import Watermark
 from repro.core.crypto import KeyedPRF
 from repro.datasets import bibliography, library
 from repro.errors import WmXMLError
+from repro.parallel import shared_pool
 from repro.xmlmodel import parse, parse_many, serialize
 from repro.xmlmodel.errors import XMLSyntaxError
 
@@ -387,20 +391,34 @@ class TestSystemFacade:
 
 
 class TestTreesTooDeepToPickle:
-    """A tree pickle cannot carry costs its chunk a run in this process,
-    through the same per-chunk recovery as any other pool failure."""
+    """A tree pickles as one flat list, not by recursion, so a document
+    far deeper than the recursion limit travels to and from the pool
+    like any other, and its chunk runs in a worker."""
 
     DEPTH = 5000
 
     def test_deep_document_batch_matches_serial(self, pipeline,
-                                                batch_texts):
+                                                batch_texts, monkeypatch):
         chain = "<note>" * self.DEPTH + "x" + "</note>" * self.DEPTH
         deep = batch_texts[0].replace("</book>", chain + "</book>", 1)
         documents = [parse(text, strip_whitespace=True)
                      for text in [deep] + batch_texts[1:4]]
         serial = pipeline.embed_many(documents, MESSAGE, output="xml")
+        # Every run of the embed task passes its "pool.chunk" fault
+        # seam; a spy there counts the runs in this process (a worker
+        # forked while it is in place just calls through).
+        chunks_run_here = []
+        caller, seam = os.getpid(), pipeline_module.fault_point
+
+        def spy(point):
+            if os.getpid() == caller:
+                chunks_run_here.append(point)
+            seam(point)
+
+        monkeypatch.setattr(pipeline_module, "fault_point", spy)
         pooled = pipeline.embed_many(documents, MESSAGE, processes=2,
                                      output="xml")
+        assert chunks_run_here == []
         assert chain in pooled[0].xml
         assert [item.xml for item in pooled] == [item.xml for item in serial]
         assert ([item.record.to_dict() for item in pooled]
@@ -413,3 +431,10 @@ class TestTreesTooDeepToPickle:
         assert ([serialize(document) for document in pooled]
                 == [serialize(document) for document in parse_many(texts)]
                 == texts)
+
+
+class TestWorkersFreezeTheirInheritedHeap:
+    def test_a_pool_worker_has_frozen_objects(self):
+        """Each worker's initializer is ``gc.freeze``: what it inherited
+        sits in the permanent generation, out of its collections."""
+        assert shared_pool(2).submit(gc.get_freeze_count).result() > 0

@@ -1,7 +1,12 @@
 """Unit tests for the XML tree model (repro.xmlmodel.tree)."""
 
+import gc
+import pickle
+import sys
+
 import pytest
 
+from repro.datasets import bibliography
 from repro.xmlmodel import (
     Comment,
     Document,
@@ -11,6 +16,8 @@ from repro.xmlmodel import (
     XMLNameError,
     XMLTreeError,
     document_order_key,
+    parse,
+    serialize,
     validate_name,
 )
 
@@ -371,3 +378,101 @@ class TestDocumentOrder:
         assert "Text" in repr(Text("hello"))
         assert "Comment" in repr(Comment("c"))
         assert "book" in repr(doc.root.find("book"))
+
+
+#: A 100-book bibliography with a comment and a processing instruction
+#: inside the root, so every node kind is in the tree.
+SAMPLE_XML = serialize(bibliography.generate_document(
+    bibliography.BibliographyConfig(books=100, editors=4, seed=7))).replace(
+    "<db>", "<db><!-- c --><?keep data?>", 1)
+
+
+def _garbage_after(build) -> int:
+    """Objects the cyclic collector frees once ``build()``'s tree is
+    dropped, with the collector off while it is built and dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        build()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestTreesFreedByReferenceCounting:
+    """The parent link is weak, so a dropped tree is freed by reference
+    counting and leaves the cyclic collector nothing to find."""
+
+    def test_parsed_document(self):
+        assert _garbage_after(lambda: parse(SAMPLE_XML)) == 0
+
+    def test_copy(self):
+        document = parse(SAMPLE_XML)
+        assert _garbage_after(document.copy) == 0
+
+    def test_pickle_round_trip(self):
+        document = parse(SAMPLE_XML)
+        assert _garbage_after(
+            lambda: pickle.loads(pickle.dumps(document))) == 0
+
+    def test_tree_built_by_hand(self):
+        def build():
+            db = Element("db", attributes={"v": "1"}, text="lead")
+            book = db.append(Element("book", children=[Element("year")]))
+            db.insert(0, Comment("c"))
+            title = book.add_child("title", text="T")
+            book.replace(title, Element("title", text="U"))
+            book.set_text("tail")
+            return Document(db)
+        assert _garbage_after(build) == 0
+
+
+class TestParentLinks:
+    def test_every_child_points_at_its_element(self):
+        document = parse(SAMPLE_XML)
+        for tree in (document, document.copy(),
+                     pickle.loads(pickle.dumps(document))):
+            assert tree.root.parent is None
+            for element in tree.iter_elements():
+                for child in element.children:
+                    assert child.parent is element
+
+    def test_node_of_a_freed_tree_has_no_parent(self):
+        """Documented: ``.parent`` is weak, so hold the document (or its
+        root) while navigating up from its nodes."""
+        title = parse("<db><book><title>T</title></book></db>") \
+            .root.find("book").find("title")
+        assert title.parent is None
+        assert title.text == "T"
+        assert list(title.ancestors()) == []
+
+
+class TestPickling:
+    def test_deep_document_round_trips(self):
+        depth = 100_000
+        assert sys.getrecursionlimit() < depth
+        text = "<d>" * depth + "x" + "</d>" * depth
+        back = pickle.loads(pickle.dumps(parse(text)))
+        assert serialize(back) == text
+
+    def test_document_round_trips_with_every_node_kind(self):
+        document = parse(SAMPLE_XML)
+        back = pickle.loads(pickle.dumps(document))
+        assert back.equals(document)
+        assert serialize(back) == SAMPLE_XML
+
+    def test_pickling_a_node_ships_its_subtree_only(self):
+        document = parse(SAMPLE_XML)
+        book = document.root.find("book")
+        clone = pickle.loads(pickle.dumps(book))
+        assert clone.parent is None
+        assert clone.equals(book)
+        assert len(pickle.dumps(book)) < len(pickle.dumps(document)) / 10
+
+    def test_leaf_nodes_round_trip(self):
+        for node in (Text("t"), Comment("c"),
+                     ProcessingInstruction("p", "d")):
+            Element("holder").append(node)
+            back = pickle.loads(pickle.dumps(node))
+            assert back.equals(node)
+            assert back.parent is None
