@@ -87,7 +87,7 @@ from repro.core.encoder import EmbeddingResult, WmXMLEncoder
 from repro.core.record import WatermarkRecord, all_same_record
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
-from repro.errors import WmXMLError
+from repro.errors import SchemeFormatError, WmXMLError
 from repro.perf import profiled
 from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
@@ -106,11 +106,6 @@ MessageLike = Union[str, Watermark]
 #: Batch APIs take parsed documents or raw XML text interchangeably.
 DocumentLike = Union[Document, str]
 
-#: Distinguishes pipelines whose scheme cannot serialise (see
-#: :attr:`Pipeline.fingerprint`); a monotonic counter, unlike
-#: ``id()``, is never reused after garbage collection.
-_INSTANCE_COUNTER = itertools.count()
-
 
 def content_fingerprint(scheme_content: str, key_fingerprint: str,
                         alpha: float) -> str:
@@ -126,22 +121,18 @@ def content_fingerprint(scheme_content: str, key_fingerprint: str,
 
 
 def scheme_content_key(scheme: WatermarkingScheme) -> str:
-    """Deterministic content string for a scheme, JSON or not.
+    """A scheme's content: its declarative form as sorted JSON.
 
-    Non-JSON-serialisable schemes (exotic plug-in params) hash their
-    pickled form — stable within a process, which is what fingerprint
-    contracts (worker cache keys, service ``ETag``s) need.  A scheme
-    that can't even pickle falls back to identity keying, forfeiting
-    sharing.
+    The one key behind every compiled-pipeline cache and every
+    fingerprint (worker cache keys, service ``ETag``s, registry
+    records).  A scheme with no JSON form (say, a plug-in parameter
+    held in a frozenset) raises :class:`SchemeFormatError`.
     """
     try:
         return json.dumps(scheme.to_dict(), sort_keys=True)
-    except TypeError:
-        try:
-            blob = pickle.dumps(scheme)
-        except Exception:
-            return f"instance:{next(_INSTANCE_COUNTER)}"
-        return "pickle:" + hashlib.sha256(blob).hexdigest()
+    except TypeError as error:
+        raise SchemeFormatError(
+            f"scheme is not JSON-serialisable: {error}") from error
 
 
 def _as_watermark(message: MessageLike) -> Watermark:
@@ -289,10 +280,9 @@ class Pipeline:
 
         Keys the per-worker pipeline cache of the parallel engine: two
         pipelines compiled from equal deployments share one worker-side
-        compilation.  Derived from the declarative scheme form, the
-        *public* key fingerprint and alpha; a scheme that cannot
-        serialise to JSON hashes its pickled form instead (see
-        :func:`scheme_content_key`).
+        compilation.  Derived from the declarative scheme form (see
+        :func:`scheme_content_key`), the *public* key fingerprint and
+        alpha.
         """
         return content_fingerprint(scheme_content_key(self.scheme),
                                    self.key_fingerprint, self.alpha)

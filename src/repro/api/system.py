@@ -18,7 +18,6 @@ system with an in-memory registry.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -38,7 +37,7 @@ from repro.core.fingerprint import TraceResult
 from repro.core.record import WatermarkRecord
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
-from repro.errors import SchemeFormatError, UnknownSchemeError
+from repro.errors import UnknownSchemeError
 from repro.registry import (RegistryNotConfiguredError, UnknownRecipientError,
                             WatermarkRegistry)
 from repro.registry.records import RegistryRecord
@@ -48,12 +47,12 @@ from repro.xmlmodel.tree import Document
 
 SchemeLike = Union[str, WatermarkingScheme, dict]
 
-#: Ceiling on the content-keyed pipeline cache, and on the recipient
-#: pipelines issuance compiles.  Registered names are unbounded by
-#: design (the operator controls them); ad-hoc inline schemes and
-#: recipients can arrive from the wire on every request, so they evict
-#: least-recently-used beyond this many.  Traces do not use the
-#: recipient LRU (see :data:`VERIFIER_BUDGET_QUERIES`).
+#: Ceiling on the compiled pipelines a system holds: owner and
+#: recipient pipelines, named and inline schemes, in one LRU keyed by
+#: (scheme content, recipient).  Inline schemes and recipients can
+#: arrive from the wire on every request, so the least recently used
+#: is evicted beyond this many.  Traces keep their verifiers apart
+#: (see :data:`VERIFIER_BUDGET_QUERIES`).
 CONTENT_CACHE_MAX = 64
 
 #: Ceiling on the warm verifiers a system holds for traces, counted in
@@ -61,7 +60,7 @@ CONTENT_CACHE_MAX = 64
 #: verifier is a recipient's derived-key pipeline with its PRF memos
 #: filled: about 170-225 B per query (measured with tracemalloc: 10.9 KB
 #: for a 20-book copy, 70 KB for a 200-book one), so a full budget
-#: holds about 13 MiB.  Unlike the LRUs, the map fills and never
+#: holds about 13 MiB.  Unlike the LRU, the map fills and never
 #: evicts: a sweep reads records in sequence order, so an LRU smaller
 #: than the corpus would never hit.  Past the budget, a record verifies
 #: under a freshly compiled pipeline.
@@ -101,24 +100,19 @@ class WmXMLSystem:
             # ``seal_registry=False``: the TenantDirectory attaches a
             # rotation-stable sealer of its own instead.
             registry.attach_sealer(self._prf)
-        self._schemes: dict[str, WatermarkingScheme] = {}
-        # Registered deployments hit the O(1) name-keyed cache (evicted
-        # when the name is re-registered); ad-hoc scheme objects/dicts
-        # fall back to a content-keyed cache so equal content shares
-        # one pipeline no matter how often it is re-sent.
-        self._named_pipelines: dict[tuple[str, float], Pipeline] = {}
-        self._content_pipelines: dict[tuple[str, float], Pipeline] = {}
-        # Derived-key pipelines for fingerprinted issuance, keyed by
-        # (scheme content, recipient, alpha); LRU like the content cache.
-        self._recipient_pipelines: dict[tuple[str, str, float],
-                                        Pipeline] = {}
+        # Each registered name's scheme beside its content key.
+        self._schemes: dict[str, tuple[WatermarkingScheme, str]] = {}
+        # Every compiled pipeline, keyed by (scheme content, recipient
+        # or None for the system key): equal content shares one
+        # pipeline whether it arrives by name or inline.  Dict order is
+        # recency order (see :data:`CONTENT_CACHE_MAX`).
+        self._pipelines: dict[tuple[str, Optional[str]], Pipeline] = {}
         # Trace verifiers, keyed alike but held apart from the LRU: the
         # (key, sequence) of every record charged to the budget, and
         # the stored queries charged so far.
-        self._verifiers: dict[tuple[str, str, float], Pipeline] = {}
-        self._verified: set[tuple[tuple[str, str, float], int]] = set()
+        self._verifiers: dict[tuple[str, str], Pipeline] = {}
+        self._verified: set[tuple[tuple[str, str], int]] = set()
         self._verifier_queries = 0
-        self._name_fingerprints: dict[str, str] = {}
         self._lock = threading.Lock()
 
     @property
@@ -132,20 +126,17 @@ class WmXMLSystem:
                  scheme: Union[WatermarkingScheme, dict]) -> WatermarkingScheme:
         """Register a deployment under ``name``; returns the live scheme.
 
-        Accepts a built scheme or its declarative dict form.
-        Re-registering a name replaces it and evicts the name's
-        compiled pipelines.
+        Accepts a built scheme or its declarative dict form; a scheme
+        with no JSON form raises :class:`~repro.errors.SchemeFormatError`.
+        Its content key is computed here, once, and stored beside it.
+        Re-registering a name replaces it; pipelines compiled for the
+        old content stay cached under that content until evicted.
         """
         if isinstance(scheme, dict):
             scheme = WatermarkingScheme.from_dict(scheme)
+        content = scheme_content_key(scheme)
         with self._lock:
-            self._schemes[name] = scheme
-            self._name_fingerprints.pop(name, None)
-            self._named_pipelines = {
-                key: pipeline
-                for key, pipeline in self._named_pipelines.items()
-                if key[0] != name
-            }
+            self._schemes[name] = (scheme, content)
         return scheme
 
     def register_file(self, name: str, path: str) -> WatermarkingScheme:
@@ -153,6 +144,9 @@ class WmXMLSystem:
         return self.register(name, WatermarkingScheme.load(path))
 
     def scheme(self, name: str) -> WatermarkingScheme:
+        return self._registered(name)[0]
+
+    def _registered(self, name: str) -> tuple[WatermarkingScheme, str]:
         with self._lock:
             try:
                 return self._schemes[name]
@@ -178,113 +172,80 @@ class WmXMLSystem:
     def scheme_fingerprint(self, scheme: SchemeLike) -> str:
         """Content fingerprint of the pipeline for ``scheme``.
 
-        Computed straight from the declarative scheme form — equal to
+        Derived from the scheme's content key (stored by
+        :meth:`register` for a name) — equal to
         ``self.pipeline(scheme).fingerprint`` by construction, without
         compiling (or pinning) a pipeline just to list the registry.
         """
-        if isinstance(scheme, str):
-            return self.scheme_with_fingerprint(scheme)[1]
-        return self._object_fingerprint(self._resolve(scheme))
+        return self._content_fingerprint(self._resolve(scheme)[1])
 
     def scheme_with_fingerprint(
             self, name: str) -> tuple[WatermarkingScheme, str]:
         """Atomic ``(scheme, fingerprint)`` snapshot for a name.
 
-        The pair is guaranteed consistent under concurrent
-        re-registration — the daemon's ``GET /v1/schemes/{name}`` must
-        never pair an old body with a new ``ETag`` — and repeat reads
-        hit the name-keyed fingerprint cache (invalidated by
-        :meth:`register` under the same lock).
+        Both come from one registration, read under the lock — the
+        daemon's ``GET /v1/schemes/{name}`` must never pair an old body
+        with a new ``ETag`` under concurrent re-registration.
         """
-        with self._lock:
-            try:
-                scheme = self._schemes[name]
-            except KeyError:
-                raise UnknownSchemeError(name, self._schemes) from None
-            cached = self._name_fingerprints.get(name)
-        if cached is not None:
-            return scheme, cached
-        fingerprint = self._object_fingerprint(scheme)
-        with self._lock:
-            # Guard against a register() replacing the name while we
-            # hashed: only cache if it still maps to what we
-            # fingerprinted.
-            if self._schemes.get(name) is scheme:
-                self._name_fingerprints[name] = fingerprint
-        return scheme, fingerprint
+        scheme, content = self._registered(name)
+        return scheme, self._content_fingerprint(content)
 
-    def _object_fingerprint(self, resolved: WatermarkingScheme) -> str:
-        # scheme_content_key handles non-JSON schemes (pickle hash),
-        # so this equals Pipeline(resolved, ...).fingerprint by
-        # construction without re-resolving any name (the (scheme,
-        # fingerprint) pairing stays atomic) or compiling anything.
-        return content_fingerprint(scheme_content_key(resolved),
-                                   self._fingerprint, self.alpha)
+    def _content_fingerprint(self, content: str) -> str:
+        return content_fingerprint(content, self._fingerprint, self.alpha)
 
     # -- compilation ------------------------------------------------------------
 
-    def _resolve(self, scheme: SchemeLike) -> WatermarkingScheme:
+    def _resolve(self, scheme: SchemeLike) -> tuple[WatermarkingScheme, str]:
+        """``scheme`` as a live scheme and its content key."""
         if isinstance(scheme, str):
-            return self.scheme(scheme)
+            return self._registered(scheme)
         if isinstance(scheme, dict):
-            return WatermarkingScheme.from_dict(scheme)
-        return scheme
+            scheme = WatermarkingScheme.from_dict(scheme)
+        return scheme, scheme_content_key(scheme)
 
-    def pipeline(self, scheme: SchemeLike,
-                 alpha: Optional[float] = None) -> Pipeline:
-        """The compiled pipeline for a scheme, cached.
+    def pipeline(self, scheme: SchemeLike) -> Pipeline:
+        """The compiled pipeline for a scheme under the system key, cached.
 
-        Registered names are the hot path: a dict lookup per call, no
-        serialization.  Scheme objects and declarative dicts are keyed
-        by their *content*, so re-sending an equal deployment on every
-        request (the service case) still shares one pipeline — and one
-        set of warm PRF/plug-in caches.  The content cache evicts LRU
-        beyond :data:`CONTENT_CACHE_MAX` distinct deployments, so a
-        wire client cycling through unique inline schemes cannot grow
-        the daemon's memory without bound.
+        A registered name reads the content key stored beside its
+        scheme; scheme objects and declarative dicts are serialised to
+        theirs, so re-sending an equal deployment on every request (the
+        service case) still shares one pipeline — and one set of warm
+        PRF/plug-in caches.  See :data:`CONTENT_CACHE_MAX` for the
+        bound.
         """
-        effective_alpha = self.alpha if alpha is None else alpha
-        if isinstance(scheme, str):
-            key = (scheme, effective_alpha)
-            with self._lock:
-                pipeline = self._named_pipelines.get(key)
-            if pipeline is not None:
-                return pipeline
-            resolved = self.scheme(scheme)
-            pipeline = Pipeline(resolved, self._secret_key,
-                                alpha=effective_alpha)
-            with self._lock:
-                if self._schemes.get(scheme) is resolved:
-                    return self._named_pipelines.setdefault(key, pipeline)
-            # The name was re-registered while we compiled: caching the
-            # stale pipeline would silently serve the replaced scheme
-            # forever.  Compile from the current registration instead.
-            return self.pipeline(scheme, alpha)
-        resolved = self._resolve(scheme)
-        try:
-            content = json.dumps(resolved.to_dict(), sort_keys=True)
-        except TypeError as error:
-            raise SchemeFormatError(
-                f"scheme is not JSON-serialisable: {error}") from error
-        key = (content, effective_alpha)
+        return self._compiled(scheme, None)
+
+    def _compiled(self, scheme: SchemeLike,
+                  recipient: Optional[str]) -> Pipeline:
+        """The cached pipeline for ``scheme`` under the system key
+        (``recipient=None``) or a recipient's derived key; compiled on
+        a miss."""
+        resolved, content = self._resolve(scheme)
+        key = (content, recipient)
         with self._lock:
-            pipeline = self._content_pipelines.pop(key, None)
+            pipeline = self._pipelines.pop(key, None)
             if pipeline is not None:
                 # Re-insertion keeps dict order = recency order.
-                self._content_pipelines[key] = pipeline
+                self._pipelines[key] = pipeline
                 return pipeline
-        # Compile outside the lock: a slow inline-scheme compile must
-        # not head-of-line-block every cached lookup in the daemon.
-        pipeline = Pipeline(resolved, self._secret_key,
-                            alpha=effective_alpha)
+        # Compile outside the lock: a slow compile must not
+        # head-of-line-block every cached lookup in the daemon.
+        pipeline = Pipeline(resolved,
+                            self._secret_key if recipient is None
+                            else self.recipient_key(recipient),
+                            alpha=self.alpha)
         with self._lock:
-            existing = self._content_pipelines.pop(key, None)
-            if existing is not None:
-                pipeline = existing  # a concurrent compile won; share it
-            self._content_pipelines[key] = pipeline
-            while len(self._content_pipelines) > CONTENT_CACHE_MAX:
-                self._content_pipelines.pop(
-                    next(iter(self._content_pipelines)))
+            # A concurrent compile of the same key may have won; share it.
+            pipeline = self._pipelines.pop(key, pipeline)
+            self._pipelines[key] = pipeline
+            while len(self._pipelines) > CONTENT_CACHE_MAX:
+                self._pipelines.pop(next(iter(self._pipelines)))
+            renamed = (isinstance(scheme, str)
+                       and self._schemes[scheme][1] != content)
+        if renamed:
+            # The name was re-registered while we compiled: answer
+            # with the current registration.
+            return self._compiled(scheme, recipient)
         return pipeline
 
     # -- fingerprinted issuance ------------------------------------------------------------
@@ -302,28 +263,11 @@ class WmXMLSystem:
             raise ValueError("recipient id must not be empty")
         return self._prf.digest("fingerprint-key", recipient)
 
-    def recipient_pipeline(self, scheme: SchemeLike, recipient: str,
-                           alpha: Optional[float] = None) -> Pipeline:
-        """The compiled pipeline under ``recipient``'s derived key."""
-        resolved = self._resolve(scheme)
-        effective_alpha = self.alpha if alpha is None else alpha
-        key = (scheme_content_key(resolved), recipient, effective_alpha)
-        with self._lock:
-            pipeline = self._recipient_pipelines.pop(key, None)
-            if pipeline is not None:
-                self._recipient_pipelines[key] = pipeline
-                return pipeline
-        pipeline = Pipeline(resolved, self.recipient_key(recipient),
-                            alpha=effective_alpha)
-        with self._lock:
-            existing = self._recipient_pipelines.pop(key, None)
-            if existing is not None:
-                pipeline = existing
-            self._recipient_pipelines[key] = pipeline
-            while len(self._recipient_pipelines) > CONTENT_CACHE_MAX:
-                self._recipient_pipelines.pop(
-                    next(iter(self._recipient_pipelines)))
-        return pipeline
+    def recipient_pipeline(self, scheme: SchemeLike,
+                           recipient: str) -> Pipeline:
+        """The compiled pipeline under ``recipient``'s derived key,
+        cached in the same LRU as :meth:`pipeline`."""
+        return self._compiled(scheme, recipient)
 
     # -- registry ------------------------------------------------------------
 
@@ -355,30 +299,47 @@ class WmXMLSystem:
                                                 ("key_id", self.key_id))
                 if value is not None}
 
-    def _stamp(self, record: WatermarkRecord) -> None:
-        """Mark a fresh record with this system's :meth:`tenancy`."""
-        for name, value in self.tenancy().items():
-            setattr(record, name, value)
+    def _issuing(self, scheme: SchemeLike, message: MessageLike,
+                 recipient: Optional[str]
+                 ) -> tuple[Pipeline, MessageLike, str, str]:
+        """``(pipeline, message, registry identity, keying)`` of an
+        embed: the system key and ``message``, or ``recipient``'s
+        derived key with the recipient id as message and identity."""
+        if recipient is None:
+            return (self.pipeline(scheme), message,
+                    self._message_identity(message), "system")
+        return (self.recipient_pipeline(scheme, recipient), recipient,
+                recipient, "recipient")
 
-    def _record_embed(self, recipient: str, keying: str,
-                      scheme_fingerprint: str, pipeline: Pipeline,
-                      result: EmbeddingResult) -> Optional[RegistryRecord]:
-        """Append one embed to the registry (no-op without one).
+    def _record(self, scheme: SchemeLike, pipeline: Pipeline,
+                identity: str, keying: str,
+                results: list[EmbeddingResult]) -> None:
+        """Stamp ``results`` with this system's :meth:`tenancy` and
+        append them to the registry, if any.
 
         Always runs in the parent process, *after* the pipeline
         returned — pooled batches hand records back from the workers
         and the appends happen here, so the pool contract is untouched
-        and ledger order is the order results came back in.
+        and ledger order is the order results came back in.  One
+        batched append: a single SQLite transaction (one fsync for the
+        whole batch instead of one per record), and all-or-nothing — a
+        mid-batch failure persists no records at all, so a client retry
+        cannot double-append half a batch.
         """
-        if self.registry is None:
-            return None
-        return self.registry.record_embed(
-            recipient=recipient, record=result.record,
-            document_xml=result.to_xml(),
-            scheme_fingerprint=scheme_fingerprint,
-            key_fingerprint=pipeline.key_fingerprint,
-            keying=keying, issuer=self.issuer,
-            tenant=self.tenant, key_id=self.key_id)
+        for result in results:
+            for name, value in self.tenancy().items():
+                setattr(result.record, name, value)
+        if self.registry is None or not results:
+            return
+        scheme_fingerprint = self.scheme_fingerprint(scheme)
+        self.registry.record_embed_many([
+            {"recipient": identity, "record": result.record,
+             "document_xml": result.to_xml(),
+             "scheme_fingerprint": scheme_fingerprint,
+             "key_fingerprint": pipeline.key_fingerprint,
+             "keying": keying, "issuer": self.issuer,
+             "tenant": self.tenant, "key_id": self.key_id}
+            for result in results])
 
     # -- conveniences ------------------------------------------------------------
 
@@ -392,20 +353,10 @@ class WmXMLSystem:
         uses the recipient id as the message (self-describing
         evidence).  Either way, an attached registry records the copy.
         """
-        if recipient is not None:
-            pipeline = self.recipient_pipeline(scheme, recipient)
-            result = pipeline.embed(document, recipient, in_place=in_place)
-            self._stamp(result.record)
-            self._record_embed(recipient, "recipient",
-                               self.scheme_fingerprint(scheme),
-                               pipeline, result)
-            return result
-        pipeline = self.pipeline(scheme)
+        pipeline, message, identity, keying = self._issuing(
+            scheme, message, recipient)
         result = pipeline.embed(document, message, in_place=in_place)
-        self._stamp(result.record)
-        self._record_embed(self._message_identity(message), "system",
-                           self.scheme_fingerprint(scheme), pipeline,
-                           result)
+        self._record(scheme, pipeline, identity, keying, [result])
         return result
 
     def embed_many(self, scheme: SchemeLike,
@@ -415,34 +366,13 @@ class WmXMLSystem:
                    processes: Optional[int] = None,
                    output: str = "document",
                    recipient: Optional[str] = None) -> list[EmbeddingResult]:
-        if recipient is not None:
-            pipeline = self.recipient_pipeline(scheme, recipient)
-            identity, keying = recipient, "recipient"
-            message = recipient
-        else:
-            pipeline = self.pipeline(scheme)
-            identity, keying = self._message_identity(message), "system"
+        pipeline, message, identity, keying = self._issuing(
+            scheme, message, recipient)
         results = pipeline.embed_many(documents, message,
                                       in_place=in_place,
                                       processes=processes,
                                       output=output)
-        for result in results:
-            self._stamp(result.record)
-        if self.registry is not None and results:
-            # One batched append: a single SQLite transaction (one
-            # fsync for the whole batch instead of one per record),
-            # and all-or-nothing — a mid-batch failure persists no
-            # records at all, so a client retry cannot double-append
-            # half a batch.
-            scheme_fingerprint = self.scheme_fingerprint(scheme)
-            self.registry.record_embed_many([
-                {"recipient": identity, "record": result.record,
-                 "document_xml": result.to_xml(),
-                 "scheme_fingerprint": scheme_fingerprint,
-                 "key_fingerprint": pipeline.key_fingerprint,
-                 "keying": keying, "issuer": self.issuer,
-                 "tenant": self.tenant, "key_id": self.key_id}
-                for result in results])
+        self._record(scheme, pipeline, identity, keying, results)
         return results
 
     def issue(self, scheme: SchemeLike, document: Document,
@@ -505,12 +435,11 @@ class WmXMLSystem:
 
         ``scheme`` is resolved once here, not once per record.  A
         recipient's record verifies under that recipient's warm
-        verifier (:meth:`_verifier`), not through the recipient LRU,
+        verifier (:meth:`_verifier`), not through the pipeline LRU,
         which traces leave as issuance left it; every owner record
         shares the one system-key pipeline.
         """
-        resolved = self._resolve(scheme)
-        content = scheme_content_key(resolved)
+        resolved, content = self._resolve(scheme)
         owner: Optional[Pipeline] = None
 
         def pipeline_for(entry: RegistryRecord) -> Pipeline:
@@ -534,7 +463,7 @@ class WmXMLSystem:
         key's own HMACs, so a warm verifier judges a rewritten row
         exactly as a cold one would.
         """
-        key = (content, entry.recipient, self.alpha)
+        key = (content, entry.recipient)
         charge = (key, entry.sequence)
         queries = len(entry.record.queries)
         with self._lock:

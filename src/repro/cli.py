@@ -733,7 +733,9 @@ def cmd_records(args: argparse.Namespace) -> int:
     """List, export, or restore the persistent watermark registry."""
     registry = _registry_required(args)
     if args.import_file:
-        with open(args.import_file, "r", encoding="utf-8") as handle:
+        # Binary lines: a byte that is not UTF-8 is reported with the
+        # number of the line it is on.
+        with open(args.import_file, "rb") as handle:
             loaded = registry.import_jsonl(handle)
         print(f"restored {loaded} rows into {args.registry}")
         return 0

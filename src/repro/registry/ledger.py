@@ -24,7 +24,6 @@ without touching the ledger at all still fails verification.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -229,8 +228,3 @@ def verify_chain(blocks: Iterable[LedgerBlock],
         intact=True, blocks=len(chain),
         records=len(records) if records is not None else len(chain),
         sealed=sealer is not None)
-
-
-def blocks_to_json(blocks: Sequence[LedgerBlock]) -> str:
-    """Canonical JSON array of blocks (tests and tooling)."""
-    return json.dumps([block.to_dict() for block in blocks], indent=2)

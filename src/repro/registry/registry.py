@@ -32,6 +32,7 @@ from repro.registry.ledger import (ChainVerification, LedgerBlock,
 from repro.registry.records import (REGISTRY_RECORD_FORMAT, RegistryRecord,
                                     hash_document)
 from repro.registry.sqlite import SCHEMA_VERSION, SQLiteBackend
+from repro.serialize import load_json_object
 
 #: Header line of a ``wmxml records --export jsonl`` dump.
 EXPORT_FORMAT = "wmxml-registry-export-v1"
@@ -367,24 +368,24 @@ class WatermarkRegistry:
             lines += 1
         return lines
 
-    def import_jsonl(self, stream: Union[TextIO, Iterable[str]]) -> int:
+    def import_jsonl(self,
+                     stream: Iterable[Union[str, bytes]]) -> int:
         """Restore a dump into an **empty** registry; returns rows loaded.
 
-        The persisted blocks are restored verbatim (not re-sealed), so
-        the imported chain carries the original provenance and still
-        verifies under the original system key.
+        ``stream`` yields lines of text or of UTF-8 bytes.  The persisted
+        blocks are restored verbatim (not re-sealed), so the imported
+        chain carries the original provenance and still verifies under
+        the original system key.
         """
         if self.backend.record_count() or self.backend.block_count():
             raise RegistryFormatError(
                 "refusing to import into a non-empty registry")
         lines = iter(stream)
         try:
-            header = json.loads(next(lines))
+            header = load_json_object(next(lines), RegistryFormatError,
+                                      "export header")
         except StopIteration:
             raise RegistryFormatError("export stream is empty") from None
-        except ValueError as error:
-            raise RegistryFormatError(
-                f"malformed export header: {error}") from error
         if header.get("format") != EXPORT_FORMAT:
             raise RegistryFormatError(
                 f"not a {EXPORT_FORMAT} stream: "
@@ -399,12 +400,8 @@ class WatermarkRegistry:
             for number, line in enumerate(lines, start=2):
                 if not line.strip():
                     continue
-                try:
-                    data = json.loads(line)
-                except ValueError as error:
-                    raise RegistryFormatError(
-                        f"malformed export line {number}: {error}"
-                    ) from error
+                data = load_json_object(line, RegistryFormatError,
+                                        f"export line {number}")
                 kind = data.pop("kind", None)
                 if kind == "record":
                     self.backend.append_record(RegistryRecord.from_dict(data))

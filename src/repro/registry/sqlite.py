@@ -70,10 +70,12 @@ from typing import Iterator, Optional
 
 from repro.faults import fault_point
 from repro.registry.backend import RegistryBackend
-from repro.registry.errors import (RegistryError, RegistrySchemaError,
+from repro.registry.errors import (RegistryError, RegistryFormatError,
+                                   RegistrySchemaError,
                                    RegistryUnavailableError)
 from repro.registry.ledger import LedgerBlock
 from repro.registry.records import RegistryRecord
+from repro.serialize import load_json_object
 
 #: Schema version this code reads and writes.  The ``quarantine``
 #: table was added within v1: it is purely additive (older code
@@ -125,6 +127,11 @@ CREATE TABLE IF NOT EXISTS quarantine (
     quarantined_at TEXT NOT NULL
 );
 """
+
+
+def _decode_block(index: int, payload: str) -> LedgerBlock:
+    return LedgerBlock.from_dict(load_json_object(
+        payload, RegistryFormatError, f"ledger block {index}"))
 
 
 class SQLiteBackend(RegistryBackend):
@@ -296,7 +303,8 @@ class SQLiteBackend(RegistryBackend):
             held = self._decoded.get(sequence)
         if held is not None and held[0] == payload:
             return held[1]
-        record = RegistryRecord.from_dict(json.loads(payload))
+        record = RegistryRecord.from_dict(load_json_object(
+            payload, RegistryFormatError, f"record {sequence}"))
         with self._decoded_lock:
             stale = self._decoded.pop(sequence, None)
             if stale is not None:
@@ -359,18 +367,17 @@ class SQLiteBackend(RegistryBackend):
     def last_block(self) -> Optional[LedgerBlock]:
         with self._lock, self._guarded("lookup"):
             row = self._conn.execute(
-                "SELECT payload FROM ledger ORDER BY idx DESC LIMIT 1"
+                "SELECT idx, payload FROM ledger ORDER BY idx DESC LIMIT 1"
             ).fetchone()
         if row is None:
             return None
-        return LedgerBlock.from_dict(json.loads(row[0]))
+        return _decode_block(*row)
 
     def iter_blocks(self) -> Iterator[LedgerBlock]:
         with self._lock, self._guarded("query"):
             rows = self._conn.execute(
-                "SELECT payload FROM ledger ORDER BY idx").fetchall()
-        return iter([LedgerBlock.from_dict(json.loads(row[0]))
-                     for row in rows])
+                "SELECT idx, payload FROM ledger ORDER BY idx").fetchall()
+        return iter([_decode_block(*row) for row in rows])
 
     # -- quarantine ------------------------------------------------------------
 

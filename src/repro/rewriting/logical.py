@@ -32,10 +32,6 @@ class LogicalQuery:
         """Build from a mapping, normalising condition order."""
         return cls(target, tuple(sorted(conditions.items())))
 
-    @property
-    def condition_map(self) -> dict[str, str]:
-        return dict(self.conditions)
-
     def fields_used(self) -> set[str]:
         """Every field the query mentions (target plus conditions)."""
         used = {self.target}

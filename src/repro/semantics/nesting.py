@@ -115,12 +115,6 @@ class NestingSpec:
             placed.update(level.placed_fields())
         return placed
 
-    def grouping_fields(self) -> set[str]:
-        grouped: set[str] = set()
-        for level in self.levels:
-            grouped.update(level.group_by)
-        return grouped
-
     def check_covers(self, field_names: Sequence[str]) -> list[str]:
         """Fields of the relation that this nesting would drop."""
         placed = self.placed_fields()

@@ -169,14 +169,6 @@ class RecordSpec:
         nodes = compile_xpath(self.entity).select(document)
         return [node for node in nodes if isinstance(node, Element)]
 
-    def values_of(
-        self, entity: Element, field_name: str
-    ) -> list[tuple[str, NodeLike]]:
-        """All (value, node) pairs of one field on one entity."""
-        spec = self.field(field_name)
-        nodes = compile_xpath(spec.path).select(entity)
-        return [(node_string_value(n).strip(), n) for n in nodes]
-
 
 def distinct_values(rows: list[Row], field_name: str) -> list[str]:
     """Distinct values of a field across rows, first-seen order."""

@@ -8,6 +8,8 @@ mixin provides the common surface — ``to_json``/``from_json``/
 ``to_dict``/``from_dict``, so version-handling behaviour (error
 wrapping, migration hooks) lives in exactly one place.
 
+Every reader of JSON input decodes it through :func:`load_json_object`.
+
 Like :mod:`repro.errors`, this module imports nothing above itself and
 is usable from any layer.
 """
@@ -15,9 +17,34 @@ is usable from any layer.
 from __future__ import annotations
 
 import json
-from typing import ClassVar, Optional
+from typing import ClassVar, Optional, Union
 
 from repro.errors import SerializationError
+
+
+def load_json_object(data: Union[str, bytes], error: type,
+                     what: str) -> dict:
+    """Decode text or UTF-8 bytes holding one JSON object.
+
+    Each defect raises ``error``, the caller's
+    :class:`~repro.errors.WmXMLError` subclass, with ``what`` naming the
+    input: bytes that are not UTF-8, text that is not JSON, nesting
+    deeper than :mod:`json` can follow, and a value that is not an
+    object.
+    """
+    try:
+        value = json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                           else data)
+    except UnicodeDecodeError as cause:
+        raise error(f"{what} is not UTF-8: {cause}") from cause
+    except ValueError as cause:
+        raise error(f"{what} is not valid JSON: {cause}") from cause
+    except RecursionError as cause:
+        raise error(f"{what} is nested too deeply to decode") from cause
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, got "
+                    f"{type(value).__name__}")
+    return value
 
 
 class VersionedDocument:
@@ -55,14 +82,9 @@ class VersionedDocument:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_json(cls, text: str):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise cls.format_error(
-                f"{cls.__name__} document is not valid JSON: "
-                f"{error}") from error
-        return cls.from_dict(data)
+    def from_json(cls, text: Union[str, bytes]):
+        return cls.from_dict(load_json_object(
+            text, cls.format_error, f"{cls.__name__} document"))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -71,5 +93,5 @@ class VersionedDocument:
 
     @classmethod
     def load(cls, path: str):
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return cls.from_json(handle.read())

@@ -613,7 +613,8 @@ class WmXMLService:
                     ) -> tuple[int, Optional[dict], dict]:
         # Atomic pair: a concurrent PUT must not pair the old body
         # with the new ETag (which would pin conditional GETs to the
-        # stale scheme) — and repeat polls hit the fingerprint cache.
+        # stale scheme).  The fingerprint hashes the content key the
+        # registration stored, so a poll serialises nothing.
         scheme, fingerprint = self.directory.system(claims.tenant) \
             .scheme_with_fingerprint(name)
         etag = f'"{fingerprint}"'

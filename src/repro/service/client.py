@@ -53,6 +53,7 @@ from repro.core.record import WatermarkRecord, all_same_record
 from repro.core.scheme import WatermarkingScheme
 from repro.core.watermark import Watermark
 from repro.errors import WatermarkDecodeError, WmXMLError, http_status_for
+from repro.serialize import load_json_object
 from repro.service import protocol
 from repro.service.protocol import ServiceError
 from repro.xmlmodel.serializer import serialize
@@ -463,21 +464,13 @@ class WmXMLClient:
 
     @staticmethod
     def _decode(raw: bytes) -> dict:
-        try:
-            data = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, ValueError) as error:
-            # A proxy splash page / wrong service on the port: keep
-            # the one-handler contract rather than leaking a raw
-            # JSONDecodeError.
-            raise ServiceError(
-                f"response is not JSON — is something other than a "
-                f"WmXML daemon answering? ({error})") from error
-        if (not isinstance(data, dict)
-                or data.get("format") != protocol.RESPONSE_FORMAT):
-            tag = data.get("format") if isinstance(data, dict) else None
+        # A proxy splash page / wrong service on the port: keep the
+        # one-handler contract rather than leaking a raw decode error.
+        data = load_json_object(raw or b"{}", ServiceError, "response")
+        if data.get("format") != protocol.RESPONSE_FORMAT:
             raise ServiceError(
                 f"response is not a {protocol.RESPONSE_FORMAT} envelope "
-                f"(format={tag!r})")
+                f"(format={data.get('format')!r})")
         if not data.get("ok", False):
             error = data.get("error") or {}
             raise RemoteServiceError(
@@ -493,11 +486,10 @@ def _remote_error(error: urllib.error.HTTPError) -> WmXMLError:
         # read() itself can die (connection reset / truncated body
         # mid-envelope) — still an envelope-less remote error, never a
         # raw http.client exception.
-        data = json.loads(error.read().decode("utf-8"))
-    except (ValueError, UnicodeDecodeError, OSError,
-            http.client.HTTPException):
+        data = load_json_object(error.read(), ServiceError, "error reply")
+    except (ServiceError, OSError, http.client.HTTPException):
         data = None
-    if isinstance(data, dict):
+    if data is not None:
         envelope = data.get("error")
         envelope = envelope if isinstance(envelope, dict) else {}
         return RemoteServiceError(

@@ -26,9 +26,8 @@ HTTP statuses exactly like library errors.
 
 from __future__ import annotations
 
-import json
-
 from repro.errors import WmXMLError, error_payload
+from repro.serialize import load_json_object
 
 #: Version tags of the request and response envelopes.
 REQUEST_FORMAT = "wmxml-request-v1"
@@ -108,17 +107,7 @@ def error_response(error: BaseException) -> dict:
 
 def parse_json(body: bytes) -> dict:
     """Bytes -> JSON object, or :class:`MalformedRequestError`."""
-    try:
-        data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as error:
-        raise MalformedRequestError(
-            f"request body is not valid JSON: {error}") from error
-    if not isinstance(data, dict):
-        raise MalformedRequestError(
-            f"request body must be a JSON object, got "
-            f"{type(data).__name__}")
-    return data
+    return load_json_object(body, MalformedRequestError, "request body")
 
 
 def parse_request(body: bytes) -> dict:

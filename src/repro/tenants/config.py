@@ -15,8 +15,9 @@ with its granted scopes and quota policy::
                             "request_burst": 20,
                             "documents_per_minute": 1200}}}}
 
-Key ids are JSON object keys, so they travel as decimal strings and
-parse back to ints.  Rotation is an edit to this file: add the next id
+Key ids are JSON object keys, so they travel as decimal strings in
+canonical form (``"1"``, never ``"01"`` or ``"+1"``) and parse back to
+ints.  Rotation is an edit to this file: add the next id
 under ``keys``, point ``active_key_id`` at it, restart the daemon —
 records embedded under earlier ids keep verifying because they carry
 their key id.  This file holds master secrets: treat it like a key
@@ -25,9 +26,10 @@ file (mode 0600), never commit it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
+
+from repro.serialize import load_json_object
 
 from .errors import TenantConfigError
 from .keys import MasterKeyMap
@@ -102,11 +104,17 @@ class TenantsConfig:
                 "'keys' must be a non-empty object of key id -> secret")
         parsed_keys: Dict[int, str] = {}
         for key_id_text, secret in keys_raw.items():
+            # One spelling per id: int() alone would read "01", " 1"
+            # and "+1" as key 1, and the last one read would silently
+            # replace an earlier secret.
             try:
                 key_id = int(key_id_text)
             except (TypeError, ValueError):
+                key_id = None
+            if key_id is None or str(key_id) != key_id_text:
                 raise TenantConfigError(
-                    f"key id {key_id_text!r} is not an integer") from None
+                    f"key id {key_id_text!r} is not an integer in "
+                    "canonical decimal form")
             if not isinstance(secret, str) or not secret:
                 raise TenantConfigError(
                     f"master secret for key id {key_id} must be a "
@@ -135,16 +143,13 @@ class TenantsConfig:
     def load(cls, path: str) -> "TenantsConfig":
         """Parse a tenants file; malformed -> :class:`TenantConfigError`."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError as error:
             raise TenantConfigError(
                 f"cannot read tenants file {path!r}: {error}") from error
-        except json.JSONDecodeError as error:
-            raise TenantConfigError(
-                f"tenants file {path!r} is not valid JSON: "
-                f"{error}") from error
-        return cls.from_dict(raw)
+        return cls.from_dict(load_json_object(
+            data, TenantConfigError, f"tenants file {path!r}"))
 
     def tenant(self, name: str) -> TenantConfig:
         try:

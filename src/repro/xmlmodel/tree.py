@@ -296,11 +296,6 @@ class Element(Node):
         """Return the value of attribute ``name`` or ``default``."""
         return self.attributes.get(name, default)
 
-    def remove_attribute(self, name: str) -> None:
-        """Delete attribute ``name`` if present."""
-        if name in self.attributes:
-            del self.attributes[name]
-
     # -- child manipulation ------------------------------------------------------
 
     def append(self, node: Node) -> Node:

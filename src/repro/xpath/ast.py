@@ -183,16 +183,6 @@ class Negate(Expression):
         return f"-{self.operand}"
 
 
-def child_step(name: str, *predicates: Expression) -> Step:
-    """Convenience constructor for a child::name step."""
-    return Step(CHILD, NameTest(name), tuple(predicates))
-
-
-def attribute_step(name: str, *predicates: Expression) -> Step:
-    """Convenience constructor for an attribute::name step."""
-    return Step(ATTRIBUTE, NameTest(name), tuple(predicates))
-
-
 def descendant_anchor() -> Step:
     """The step '//' expands to: descendant-or-self::node()."""
     return Step(DESCENDANT_OR_SELF, NodeTypeTest("node"))

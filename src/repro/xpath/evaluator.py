@@ -40,9 +40,6 @@ class Context:
     position: int = 1
     size: int = 1
 
-    def with_node(self, node: NodeLike, position: int, size: int) -> "Context":
-        return Context(node=node, position=position, size=size)
-
 
 def evaluate(expr: ast.Expression, context: Context) -> XPathValue:
     """Evaluate ``expr`` in ``context`` and return an XPath value."""

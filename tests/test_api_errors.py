@@ -3,8 +3,14 @@
 Contract: every error the library raises on purpose is catchable via
 ``except WmXMLError`` — a service wraps any WmXML call in one handler.
 Legacy catch styles (per-layer bases, builtin bases like ValueError)
-must keep working too.
+must keep working too.  Every reader of JSON input refuses bad bytes,
+bad JSON, deep nesting and non-objects with its own WmXMLError.
 """
+
+import base64
+import io
+import sqlite3
+import urllib.error
 
 import pytest
 
@@ -13,12 +19,22 @@ from repro.core.algorithms import AlgorithmError, create_algorithm
 from repro.core.watermark import Watermark
 from repro.datasets import bibliography
 from repro.errors import WmXMLError
+from repro.registry import (RegistryFormatError, SQLiteBackend,
+                            WatermarkRegistry)
 from repro.semantics.errors import (
     ConstraintError,
     RecordError,
     SchemaError,
     SemanticsError,
 )
+from repro.service.client import (RemoteServiceError, WmXMLClient,
+                                  _remote_error)
+from repro.service.protocol import (MalformedRequestError, ServiceError,
+                                    parse_json)
+from repro.tenants import TenantConfigError, TenantsConfig
+from repro.tenants.errors import UnauthorizedError
+from repro.tenants.keys import MasterKeyMap
+from repro.tenants.tokens import verify_token
 from repro.xmlmodel import parse
 from repro.xmlmodel.errors import XMLError, XMLSyntaxError, XMLTreeError
 from repro.xpath import compile_xpath
@@ -287,3 +303,103 @@ class TestMessageStatusReporting:
         outcome = pipeline.detect(result.document, result.record)
         reloaded = api.DetectionResult.from_json(outcome.to_json())
         assert reloaded.message_status == "decoded"
+
+
+# -- one JSON decode rule ------------------------------------------------------------
+
+def _write(tmp_path, data: bytes) -> str:
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _sqlite_rows(tmp_path, record: bytes, block: bytes) -> SQLiteBackend:
+    """A SQLite backend whose one record row and one ledger row hold the
+    given payloads (bytes that are not ASCII are stored as a blob)."""
+    path = str(tmp_path / "rotted.db")
+    SQLiteBackend(path).close()
+    conn = sqlite3.connect(path)
+    column = lambda data: data.decode() if data.isascii() else data
+    conn.execute("INSERT INTO records (sequence, recipient, "
+                 "scheme_fingerprint, document_hash, payload) "
+                 "VALUES (0, 'a', 's', 'd', ?)", (column(record),))
+    conn.execute("INSERT INTO ledger (idx, payload) VALUES (0, ?)",
+                 (column(block),))
+    conn.commit()
+    conn.close()
+    return SQLiteBackend(path)
+
+
+def _export_header() -> bytes:
+    stream = io.StringIO()
+    WatermarkRegistry().export_jsonl(stream)
+    return stream.getvalue().splitlines()[0].encode()
+
+
+def _raise_remote_error(data: bytes):
+    raise _remote_error(urllib.error.HTTPError(
+        "http://127.0.0.1:1/v1/healthz", 502, "Bad Gateway", {},
+        io.BytesIO(data)))
+
+
+def _verify_bearer(data: bytes):
+    claims = base64.urlsafe_b64encode(data).rstrip(b"=").decode()
+    verify_token(MasterKeyMap({1: "master"}), f"wmx1.{claims}.AAAA")
+
+
+#: Every reader of JSON input: (its error class, read(data, tmp_path)).
+JSON_READERS = {
+    "scheme.from_json": (
+        api.SchemeFormatError,
+        lambda data, tmp: api.WatermarkingScheme.from_json(data)),
+    "record.load": (
+        api.RecordFormatError,
+        lambda data, tmp: api.WatermarkRecord.load(_write(tmp, data))),
+    "tenants.load": (
+        TenantConfigError,
+        lambda data, tmp: TenantsConfig.load(_write(tmp, data))),
+    "import_jsonl.header": (
+        RegistryFormatError,
+        lambda data, tmp: WatermarkRegistry().import_jsonl([data])),
+    "import_jsonl.line": (
+        RegistryFormatError,
+        lambda data, tmp: WatermarkRegistry().import_jsonl(
+            [_export_header(), data])),
+    "sqlite.records": (
+        RegistryFormatError,
+        lambda data, tmp: _sqlite_rows(tmp, data, b"{}").find_records()),
+    "sqlite.last_block": (
+        RegistryFormatError,
+        lambda data, tmp: _sqlite_rows(tmp, b"{}", data).last_block()),
+    "sqlite.iter_blocks": (
+        RegistryFormatError,
+        lambda data, tmp: _sqlite_rows(tmp, b"{}", data).iter_blocks()),
+    "protocol.parse_json": (
+        MalformedRequestError, lambda data, tmp: parse_json(data)),
+    "client._decode": (
+        ServiceError, lambda data, tmp: WmXMLClient._decode(data)),
+    "client._remote_error": (
+        RemoteServiceError, lambda data, tmp: _raise_remote_error(data)),
+    "tokens.verify_token": (
+        UnauthorizedError, lambda data, tmp: _verify_bearer(data)),
+}
+
+JSON_DEFECTS = {
+    "invalid": b"{not json",
+    "deep": b"[" * 100_000,
+    "not-utf8": b"\xff\xfe{",
+    "array": b"[1]",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(JSON_DEFECTS))
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_every_json_reader_refuses_each_defect_with_its_own_error(
+        reader, defect, tmp_path):
+    # Every reader of JSON input decodes through one function: bad
+    # bytes, bad JSON, nesting deeper than json follows and a value that
+    # is not an object each raise the reader's WmXMLError subclass.
+    error, read = JSON_READERS[reader]
+    with pytest.raises(error) as raised:
+        read(JSON_DEFECTS[defect], tmp_path)
+    assert isinstance(raised.value, WmXMLError)

@@ -103,8 +103,6 @@ class TestWmXMLSystem:
         system = api.WmXMLSystem("secret")
         system.register("bib", bibliography.default_scheme(2))
         assert system.pipeline("bib") is system.pipeline("bib")
-        # A different alpha is a different pipeline.
-        assert system.pipeline("bib") is not system.pipeline("bib", 0.05)
 
     def test_pipeline_cache_is_keyed_by_content_for_adhoc_schemes(self):
         # The service case: a scheme dict arrives with every request;
@@ -132,9 +130,39 @@ class TestWmXMLSystem:
             # Re-touching the first scheme keeps it most-recent.
             system.pipeline(bibliography.default_scheme(2).to_dict())
             system.pipeline(bibliography.default_scheme(gamma).to_dict())
-        assert len(system._content_pipelines) <= CONTENT_CACHE_MAX
+        assert len(system._pipelines) <= CONTENT_CACHE_MAX
         assert system.pipeline(
             bibliography.default_scheme(2).to_dict()) is kept
+
+    def test_one_lru_holds_owner_and_recipient_pipelines(self):
+        # Owner and recipient pipelines, named and inline, share one
+        # LRU: together they never exceed its ceiling, and a named
+        # pipeline used since the last CONTENT_CACHE_MAX - 1 compiles
+        # stays cached.
+        from repro.api.system import CONTENT_CACHE_MAX
+
+        system = api.WmXMLSystem("secret")
+        system.register("bib", bibliography.default_scheme(2))
+        named = system.pipeline("bib")
+        # Equal content shares one pipeline, by name or inline.
+        assert system.pipeline(bibliography.default_scheme(2)) is named
+        compiles = [
+            lambda i: system.recipient_pipeline("bib", f"r{i}"),
+            lambda i: system.pipeline(
+                bibliography.default_scheme(3 + i).to_dict()),
+            lambda i: system.recipient_pipeline(
+                bibliography.default_scheme(3 + i), f"r{i}"),
+        ]
+        for i in range(3 * CONTENT_CACHE_MAX):
+            if i % (CONTENT_CACHE_MAX - 1) == 0:
+                assert system.pipeline("bib") is named
+            compiles[i % 3](i)
+            assert len(system._pipelines) <= CONTENT_CACHE_MAX
+        assert len(system._pipelines) == CONTENT_CACHE_MAX
+        assert system.pipeline("bib") is named
+        for i in range(CONTENT_CACHE_MAX):
+            compiles[i % 3](1000 + i)
+        assert system.pipeline("bib") is not named
 
     def test_scheme_fingerprint_matches_pipeline_without_compiling(self):
         # GET /v1/schemes lists fingerprints for every deployment; the
@@ -142,7 +170,7 @@ class TestWmXMLSystem:
         system = api.WmXMLSystem("secret")
         system.register("bib", bibliography.default_scheme(2))
         fingerprint = system.scheme_fingerprint("bib")
-        assert not system._named_pipelines
+        assert not system._pipelines
         assert fingerprint == system.pipeline("bib").fingerprint
 
     def test_scheme_with_fingerprint_is_cached_and_consistent(self):
@@ -153,7 +181,6 @@ class TestWmXMLSystem:
         scheme, fingerprint = system.scheme_with_fingerprint("bib")
         assert scheme is system.scheme("bib")
         assert fingerprint == system.scheme_fingerprint("bib")
-        assert system._name_fingerprints["bib"] == fingerprint
         system.register("bib", bibliography.default_scheme(4))
         scheme2, fingerprint2 = system.scheme_with_fingerprint("bib")
         assert scheme2.gamma == 4
@@ -199,15 +226,24 @@ class TestWmXMLSystem:
         assert (system.scheme_fingerprint("bib")
                 == pipeline.fingerprint)
 
-    def test_non_json_scheme_params_raise_a_wmxml_error(self):
+    @pytest.mark.parametrize("use", [
+        lambda system, scheme: system.pipeline(scheme),
+        lambda system, scheme: system.register("bib", scheme),
+        lambda system, scheme: system.recipient_pipeline(scheme, "alice"),
+        lambda system, scheme: system.scheme_fingerprint(scheme),
+        lambda system, scheme: api.Pipeline(scheme, "secret").fingerprint,
+    ], ids=["pipeline", "register", "recipient_pipeline",
+            "scheme_fingerprint", "Pipeline.fingerprint"])
+    def test_non_json_scheme_params_raise_a_wmxml_error(self, use):
         # A frozenset domain builds a working in-memory scheme but has
-        # no JSON form; the facade must say so, not leak a TypeError.
+        # no JSON form, so it has no content key; every entry point
+        # must say so, not leak a TypeError or key it some other way.
         scheme = (api.SchemeBuilder(bibliography.book_shape())
                   .carrier("publisher", "categorical", fd="editor",
                            params={"domain": frozenset(("mkp", "acm"))})
                   .build())
         with pytest.raises(api.SchemeFormatError):
-            api.WmXMLSystem("secret").pipeline(scheme)
+            use(api.WmXMLSystem("secret"), scheme)
 
     def test_reregistering_rebinds_the_name(self):
         system = api.WmXMLSystem("secret")

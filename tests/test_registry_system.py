@@ -130,6 +130,40 @@ class TestRecordContents:
         assert entry.recipient == MESSAGE
 
 
+class TestEmbedPathsAgree:
+    """``embed`` and ``embed_many`` issue through one path: one document
+    leaves equal registry rows either way, the append time aside."""
+
+    CASES = {
+        "text": {"message": MESSAGE},
+        # 7 bits have no text form: recorded as a ``bits:`` identity.
+        "bits": {"message": Watermark([1, 0, 1, 1, 0, 0, 1])},
+        "recipient": {"message": "alice", "recipient": "alice"},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_embed_and_embed_many_record_equal_rows(self, golden_text,
+                                                    scheme, case):
+        rows = []
+        for embed in (
+                lambda system, **kw: system.embed(
+                    "books", parse(golden_text), **kw),
+                lambda system, **kw: system.embed_many(
+                    "books", [golden_text], **kw)):
+            system = WmXMLSystem(KEY, registry=WatermarkRegistry(),
+                                 issuer="golden-issuer", tenant="acme",
+                                 key_id=2)
+            system.register("books", scheme)
+            embed(system, **self.CASES[case])
+            [entry] = system.registry.records()
+            rows.append({**entry.to_dict(), "created_at": None,
+                         "sequence": entry.sequence})
+        assert rows[0] == rows[1]
+        assert rows[0]["tenant"] == "acme"
+        if case == "bits":
+            assert rows[0]["recipient"] == "bits:1011001"
+
+
 class TestPooledAppendEquivalence:
     def test_pooled_embed_many_appends_same_records_as_serial(
             self, scheme):

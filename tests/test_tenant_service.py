@@ -34,7 +34,7 @@ from repro.service import (
     WmXMLService,
     running_server,
 )
-from repro.tenants import TenantDirectory, TenantsConfig
+from repro.tenants import TenantConfigError, TenantDirectory, TenantsConfig
 from repro.xmlmodel import parse, serialize
 
 CONFIG = {
@@ -262,6 +262,130 @@ class TestTokenFuzz:
             _bearer(f"wmx1.{claims}.c2ln"))
         assert status == 401
         assert payload["error"]["code"] == "unauthorized"
+
+
+class TestTenantsFileFuzz:
+    """Seeded mutations of a tenants file: every field but the quotas
+    takes values of every JSON type, and whole files are damaged on
+    disk.  Each outcome is a parsed config or a ``TenantConfigError``,
+    and a parsed config holds one key generation per entry of
+    ``keys``."""
+
+    SEED = 20261
+    CASES = 3000
+    FILES = 400
+    #: Values of every JSON type; some are valid in some field.
+    VALUES = (None, True, False, 0, 1, 2, -1, 2 ** 70, 1.5, "", "1",
+              "secret", "embed", "wmxml-tenants-v1", [], ["embed"],
+              ["embed", "detect"], ["sudo"], ["embed", 1], [None], {},
+              {"1": "s"}, {"scopes": []}, {"scopes": ["embed"]},
+              {"quota": {}}, {"surprise": 1})
+    #: Object keys are text in JSON: key ids that int() reads as an
+    #: integer, or fails on.
+    KEY_TEXTS = ("1", "2", "3", "01", " 1", "1 ", "+1", "-1", "0", "1_0",
+                 "\u0661", "1.0", "", "one", "9" * 5000)
+    NAMES = ("acme", "globex", "", " ", "\x00", "\u00e9", "1")
+
+    def _value(self, rng):
+        return json.loads(json.dumps(rng.choice(self.VALUES)))
+
+    def _pick(self, rng, container):
+        return rng.choice(list(container)) if isinstance(
+            container, dict) and container else None
+
+    def _mutate(self, rng, raw):
+        field = rng.randrange(8)
+        if field == 0:
+            raw["format"] = self._value(rng)
+        elif field == 1:
+            raw["keys"] = self._value(rng)
+        elif field == 2:  # a key id's text
+            key_id = self._pick(rng, raw.get("keys"))
+            if key_id is not None:
+                raw["keys"][rng.choice(self.KEY_TEXTS)] = \
+                    raw["keys"].pop(key_id)
+        elif field == 3:  # a master secret
+            key_id = self._pick(rng, raw.get("keys"))
+            if key_id is not None:
+                raw["keys"][key_id] = self._value(rng)
+        elif field == 4:
+            raw["active_key_id"] = self._value(rng)
+        elif field == 5:  # a tenant's name
+            name = self._pick(rng, raw.get("tenants"))
+            if name is not None:
+                raw["tenants"][rng.choice(self.NAMES)] = \
+                    raw["tenants"].pop(name)
+        elif field == 6:  # a tenant's object
+            name = self._pick(rng, raw.get("tenants"))
+            if name is not None:
+                raw["tenants"][name] = self._value(rng)
+        else:  # a tenant's scopes
+            name = self._pick(rng, raw.get("tenants"))
+            if name is not None and isinstance(raw["tenants"][name], dict):
+                raw["tenants"][name]["scopes"] = self._value(rng)
+
+    def _damage(self, rng, data):
+        kind = rng.randrange(4)
+        if kind == 0:  # truncation
+            return data[:rng.randrange(len(data))]
+        if kind == 1:  # byte flips
+            flipped = bytearray(data)
+            for _ in range(rng.randint(1, 4)):
+                flipped[rng.randrange(len(flipped))] ^= \
+                    1 << rng.randrange(8)
+            return bytes(flipped)
+        if kind == 2:  # deep nesting, around the file or as a tenant
+            depth = rng.choice([8, 1000, 100_000])
+            if rng.random() < 0.5:
+                return b"[" * depth + data + b"]" * depth
+            return data.replace(b'"acme": {}', b'"acme": '
+                                + b"[" * depth + b"]" * depth, 1)
+        position = rng.randrange(len(data) + 1)  # non-UTF-8 bytes
+        return (data[:position]
+                + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xfe"])
+                + data[position:])
+
+    def _check(self, parse, keys_of, outcomes, escaped):
+        try:
+            config = parse()
+        except TenantConfigError:
+            outcomes["refused"] += 1
+            return
+        except Exception as error:  # any other class is an escape
+            escaped.append(repr(error)[:200])
+            return
+        outcomes["parsed"] += 1
+        if len(config.keys.key_ids()) != len(keys_of()):
+            escaped.append(f"{len(keys_of())} key entries parsed to "
+                           f"generations {config.keys.key_ids()}")
+
+    def test_mutated_fields_parse_or_refuse(self):
+        rng = random.Random(self.SEED)
+        outcomes = {"parsed": 0, "refused": 0}
+        escaped = []
+        for _ in range(self.CASES):
+            raw = json.loads(json.dumps(ROTATED_CONFIG))
+            for _ in range(rng.randint(1, 3)):
+                self._mutate(rng, raw)
+            self._check(lambda: TenantsConfig.from_dict(raw),
+                        lambda: raw["keys"], outcomes, escaped)
+        assert escaped == []
+        assert outcomes["parsed"] >= 100 and outcomes["refused"] >= 100
+
+    def test_damaged_files_load_or_refuse(self, tmp_path):
+        rng = random.Random(self.SEED)
+        original = json.dumps(ROTATED_CONFIG).encode("utf-8")
+        path = tmp_path / "tenants.json"
+        outcomes = {"parsed": 0, "refused": 0}
+        escaped = []
+        for _ in range(self.FILES):
+            data = self._damage(rng, original)
+            path.write_bytes(data)
+            self._check(lambda: TenantsConfig.load(str(path)),
+                        lambda: json.loads(data)["keys"], outcomes,
+                        escaped)
+        assert escaped == []
+        assert outcomes["parsed"] and outcomes["refused"] >= 100
 
 
 class TestQuotas:

@@ -374,6 +374,16 @@ class TestTenantsConfig:
             TenantsConfig.from_dict(raw)
         assert error_code(excinfo.value) == "bad-tenant-config"
 
+    @pytest.mark.parametrize("text", ["01", " 1", "1 ", "+1", "1_0",
+                                      "\u0661"])
+    def test_key_ids_must_be_canonical(self, text):
+        # int() reads each of these as key 1: beside "1", the second
+        # secret used to replace the first without an error.
+        raw = {**VALID_CONFIG, "keys": {"1": "first", text: "second"}}
+        del raw["active_key_id"]
+        with pytest.raises(TenantConfigError):
+            TenantsConfig.from_dict(raw)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(TenantConfigError):
             TenantsConfig.load(str(tmp_path / "absent.json"))

@@ -20,7 +20,7 @@ change to how a trace runs must leave these bytes alone:
   class was folded into :class:`WmXMLSystem`).
 
 A system verifies recipients' records under warm verifiers it holds
-apart from issuance's recipient LRU, up to ``VERIFIER_BUDGET_QUERIES``
+apart from its one pipeline LRU, up to ``VERIFIER_BUDGET_QUERIES``
 stored queries; the bytes must not depend on which records got one.
 """
 
@@ -269,10 +269,10 @@ def test_trace_leaves_the_issuance_lru_as_it_found_it():
     for index in range(100):
         system.issue("books", parse(text), f"r{index:03d}")
     pipeline = system.recipient_pipeline("books", "r099")
-    before = list(system._recipient_pipelines.items())
+    before = list(system._pipelines.items())
     assert len(before) == system_mod.CONTENT_CACHE_MAX
     system.trace("books", parse(text))
-    assert list(system._recipient_pipelines.items()) == before
+    assert list(system._pipelines.items()) == before
     assert system.recipient_pipeline("books", "r099") is pipeline
 
 
