@@ -9,10 +9,11 @@ plug-in instances built by the first document are warm for every
 subsequent one.
 
 Thread-safety: a pipeline may be shared across threads.  ``embed``
-copies the input document (unless ``in_place=True``), and the only
-shared mutable state is a set of append-only caches (PRF digest memo,
-plug-in registry) whose dict operations are atomic under CPython's GIL;
-two threads at worst compute the same cache entry twice.
+and ``embed_many`` mark a copy of a caller's document and never mutate
+it, and the only shared mutable state is a set of append-only caches
+(PRF digest memo, plug-in registry) whose dict operations are atomic
+under CPython's GIL; two threads at worst compute the same cache entry
+twice.
 
 Detection strategies (the ``strategy`` argument):
 
@@ -30,20 +31,20 @@ Detection strategies (the ``strategy`` argument):
   ``auto`` simply names the fast engine, keeping ``scan`` reachable as
   the explicit reference path.
 
-The parallel batch engine (``processes=N``)
--------------------------------------------
+The batch engine (``processes=N``)
+----------------------------------
 
 ``embed_many``/``detect_many`` accept parsed
 :class:`~repro.xmlmodel.tree.Document` objects or raw XML strings.
-With ``processes=N`` the *whole* per-document pipeline — parse, embed
-or detect, and (with ``output="xml"``) serialise — runs as one fused
-task inside a process-pool worker:
+One private step per kind does the work for one document — parse a
+text, embed or detect, and (with ``output="xml"``) serialise — and
+both paths run it: serially in this process, or with ``processes=N``
+inside process-pool workers, one chunk of documents per task:
 
 * The batch is cut into contiguous, evenly sized chunks
   (:func:`repro.parallel.chunk_evenly`; ~4 chunks per worker) and
-  dispatched over a *persistent* pool shared with
-  :func:`repro.xmlmodel.parse_many`, so fork cost is paid once per
-  process count, not once per batch.
+  dispatched over a *persistent* pool (:mod:`repro.parallel`), so fork
+  cost is paid once per process count, not once per batch.
 * Each chunk task carries the pickled pipeline plus its content
   fingerprint; a worker unpickles it **once** into a
   fingerprint-keyed cache and reuses the compiled pipeline (warm PRF
@@ -51,11 +52,15 @@ task inside a process-pool worker:
   the same deployment.  Unpicklable hot-path state (the HMAC key
   schedule, digest memos, plug-in caches) is dropped on pickling and
   lazily rebuilt in the worker — see ``KeyedPRF.__getstate__``.
-* Raw-XML inputs are parsed *in the worker*, so a text batch never
-  pays the old two-hop cost (parse results pickled back to the parent
-  only to be re-pickled out for embedding); with ``output="xml"`` the
-  marked tree is serialised in the worker too and only markup text
-  returns.
+* A text is parsed where it is marked or checked, one tree at a time,
+  and the tree is that step's own, so it is marked in place.  A
+  ``Document`` is copied before marking, wherever the step runs, so a
+  caller's tree is never mutated.  With ``output="xml"`` the marked
+  tree is serialised where it was built, so only markup text returns
+  from a worker.
+* A detect task carries one record per document.  When every record
+  is the same (:func:`~repro.core.record.all_same_record`) the list
+  repeats one object, which pickle writes once per chunk.
 * Results come back in input order.  A chunk lost to a dead worker is
   retried once on a fresh pool, then run serially in this process, and
   a chunk that raised in a worker runs once serially in this process
@@ -74,7 +79,6 @@ that, or on a single-core host, leave it unset.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import pickle
 from functools import cached_property
@@ -91,7 +95,7 @@ from repro.errors import SchemeFormatError, WmXMLError
 from repro.perf import profiled
 from repro.rewriting.executor import LogicalExecutor
 from repro.semantics.shape import DocumentShape
-from repro.xmlmodel.parser import parse, parse_many
+from repro.xmlmodel.parser import parse
 from repro.xmlmodel.serializer import serialize
 from repro.xmlmodel.tree import Document
 
@@ -157,25 +161,33 @@ def _resolve_output(output: str) -> str:
     return output
 
 
-def _as_documents(items: Iterable[DocumentLike],
-                  processes: Optional[int] = None) -> list[Document]:
-    """Parse any raw XML strings in ``items``, preserving order.
+def _embed_one(encoder: WmXMLEncoder, item: DocumentLike,
+               watermark: Watermark, output: str) -> EmbeddingResult:
+    """The embed step for one document: parse a text, embed, and
+    serialise the marked tree when ``output == "xml"``.
 
-    Strings are parsed with ``strip_whitespace=True`` (the data-centric
-    convention every loader in this system uses) via
-    :func:`repro.xmlmodel.parse_many`, so ``processes`` can shard the
-    parsing across workers; already-parsed documents pass through
-    untouched.
+    A tree parsed here from raw XML (``strip_whitespace=True``, the
+    data-centric convention of every loader in this system) is this
+    step's own, so it is marked in place; a ``Document`` is copied.
     """
-    resolved = list(items)
-    text_positions = [index for index, item in enumerate(resolved)
-                     if isinstance(item, str)]
-    if text_positions:
-        parsed = parse_many([resolved[index] for index in text_positions],
-                            strip_whitespace=True, processes=processes)
-        for index, document in zip(text_positions, parsed):
-            resolved[index] = document
-    return resolved
+    parsed = isinstance(item, str)
+    if parsed:
+        item = parse(item, strip_whitespace=True)
+    result = encoder.embed(item, watermark, in_place=parsed)
+    if output == "xml":
+        result.xml, result.document = serialize(result.document), None
+    return result
+
+
+def _detect_one(decoder: WmXMLDecoder, item: DocumentLike,
+                record: WatermarkRecord, shape: DocumentShape,
+                expected: Optional[Watermark],
+                indexed: bool) -> DetectionResult:
+    """The detect step for one document: parse a text, then detect."""
+    document = (parse(item, strip_whitespace=True)
+                if isinstance(item, str) else item)
+    return decoder.detect(document, record, shape, expected=expected,
+                          indexed=indexed)
 
 
 # -- worker side of the parallel engine ------------------------------------------------------------
@@ -200,57 +212,26 @@ def _worker_pipeline(fingerprint: str, payload: bytes) -> "Pipeline":
 
 
 def _embed_chunk(task: tuple) -> list[EmbeddingResult]:
-    """Fused embed task: parse -> embed -> (optionally) serialise.
-
-    Runs inside a pool worker.  Embedding is in-place: the tree here is
-    either freshly parsed or the pickled private copy of the caller's
-    document, so no further defensive copy is needed — the output is
-    bit-identical to the parent-side ``embed()`` either way.
-    """
+    """A pool worker's embed task: the embed step over one chunk."""
     fingerprint, payload, items, watermark, output = task
     # The "pool.chunk" fault point simulates a dying or raising worker
     # (armed with scope="worker" it fires only in forked children, so
     # the parent's serial fallback survives the experiment).
     fault_point("pool.chunk")
-    pipeline = _worker_pipeline(fingerprint, payload)
-    encoder = pipeline._encoder
-    results = []
-    for item in items:
-        document = (parse(item, strip_whitespace=True)
-                    if isinstance(item, str) else item)
-        result = encoder.embed(document, watermark, in_place=True)
-        if output == "xml":
-            result = EmbeddingResult(
-                document=None, record=result.record, stats=result.stats,
-                xml=serialize(result.document))
-        results.append(result)
-    return results
+    encoder = _worker_pipeline(fingerprint, payload)._encoder
+    return [_embed_one(encoder, item, watermark, output) for item in items]
 
 
 def _detect_chunk(task: tuple) -> list[DetectionResult]:
-    """Fused detect task: parse -> detect, one worker-local decoder.
-
-    ``records`` is either ``("shared", record)`` — the one-record-
-    many-copies batch, where the record is pickled once per chunk
-    instead of once per item (per-item record payloads dominated
-    pooled detect dispatch) — or ``("each", [record, ...])`` aligned
-    with ``documents``.
-    """
+    """A pool worker's detect task: the detect step over one chunk,
+    ``records`` aligned with ``documents``."""
     fingerprint, payload, documents, records, expected, shape, indexed = task
     fault_point("pool.chunk")
     pipeline = _worker_pipeline(fingerprint, payload)
-    decoder = pipeline._decoder
     shape = shape or pipeline.scheme.shape
-    mode, payload_records = records
-    record_for = (itertools.repeat(payload_records) if mode == "shared"
-                  else payload_records)
-    results = []
-    for document, record in zip(documents, record_for):
-        if isinstance(document, str):
-            document = parse(document, strip_whitespace=True)
-        results.append(decoder.detect(document, record, shape,
-                                      expected=expected, indexed=indexed))
-    return results
+    return [_detect_one(pipeline._decoder, document, record, shape,
+                        expected, indexed)
+            for document, record in zip(documents, records)]
 
 
 class Pipeline:
@@ -289,16 +270,15 @@ class Pipeline:
 
     # -- embedding ------------------------------------------------------------
 
-    def embed(self, document: Document, message: MessageLike,
-              in_place: bool = False) -> EmbeddingResult:
-        """Embed a message (text or :class:`Watermark`) into a document."""
-        return self._encoder.embed(document, _as_watermark(message),
-                                   in_place=in_place)
+    def embed(self, document: Document,
+              message: MessageLike) -> EmbeddingResult:
+        """Embed a message (text or :class:`Watermark`) into a copy of
+        ``document``."""
+        return self._encoder.embed(document, _as_watermark(message))
 
     @profiled("api.embed_many")
     def embed_many(self, documents: Iterable[DocumentLike],
                    message: MessageLike,
-                   in_place: bool = False,
                    processes: Optional[int] = None,
                    output: str = "document") -> list[EmbeddingResult]:
         """Embed the same message into many documents.
@@ -307,41 +287,22 @@ class Pipeline:
         memo and plug-in instances warmed by the first document are
         reused by the rest (the benchmark's ``batch-pool`` workload).
 
-        Entries may be raw XML strings.  With ``processes=N`` the full
-        per-document pipeline (parse -> embed -> serialise) is sharded
-        over the persistent worker pool as fused chunk tasks — see the
-        module docstring; without it the batch runs serially in this
-        process.  ``output="xml"`` returns results whose ``xml`` field
-        carries the serialised marked document (``document`` is None),
-        which is both what a service ships and the cheap way to get
-        results back from workers.
-
-        ``in_place=True`` mutates caller-supplied ``Document`` objects,
-        which only a same-process embed can honour — such batches run
-        serially regardless of ``processes``.
+        Entries may be raw XML strings; a caller's ``Document`` is
+        copied, never mutated.  Each entry runs through one embed step
+        (parse -> embed -> serialise), in this process or, with
+        ``processes=N``, in chunks over the persistent worker pool —
+        see the module docstring.  ``output="xml"`` returns results
+        whose ``xml`` field carries the serialised marked document
+        (``document`` is None), which is both what a service ships and
+        the cheap way to get results back from workers.
         """
         watermark = _as_watermark(message)
         output = _resolve_output(output)
         batch = list(documents)
-        if self._poolable(processes, batch,
-                          in_place and any(isinstance(item, Document)
-                                           for item in batch)):
+        if self._poolable(processes, batch):
             return self._embed_pooled(batch, watermark, processes, output)
-        # A tree parsed here from raw XML is this call's own, so it is
-        # marked in place, as the pool workers mark theirs.
-        results = [self._encoder.embed(document, watermark,
-                                       in_place=in_place
-                                       or isinstance(item, str))
-                   for item, document in zip(
-                       batch, _as_documents(batch, processes))]
-        if output == "xml":
-            results = [
-                EmbeddingResult(document=None, record=result.record,
-                                stats=result.stats,
-                                xml=serialize(result.document))
-                for result in results
-            ]
-        return results
+        return [_embed_one(self._encoder, item, watermark, output)
+                for item in batch]
 
     # -- detection ------------------------------------------------------------
 
@@ -388,34 +349,28 @@ class Pipeline:
         document is judged by the same engine against the same
         expectation (vote-for-vote equality of pooled and serial runs,
         for every strategy, is locked by the test suite).  Documents
-        may be raw XML strings; with ``processes=N`` parse + detect run
-        as fused chunk tasks on the worker pool, exactly as in
-        :meth:`embed_many`.
+        may be raw XML strings.  Each pair runs through one detect step
+        (parse -> detect), in this process or, with ``processes=N``, in
+        chunks over the worker pool, exactly as in :meth:`embed_many`.
         """
         expected_wm = (None if expected is None
                        else _as_watermark(expected))
         indexed = _resolve_strategy(strategy)
         batch = list(items)  # accept iterators safely
-        if self._poolable(processes, batch, False):
+        if self._poolable(processes, batch):
             return self._detect_pooled(batch, expected_wm, shape, indexed,
                                        processes)
-        documents = _as_documents([document for document, _ in batch],
-                                  processes)
-        return [
-            self._decoder.detect(
-                document, record, shape or self.scheme.shape,
-                expected=expected_wm, indexed=indexed)
-            for document, (_, record) in zip(documents, batch)
-        ]
+        shape = shape or self.scheme.shape
+        return [_detect_one(self._decoder, document, record, shape,
+                            expected_wm, indexed)
+                for document, record in batch]
 
     # -- parallel dispatch ------------------------------------------------------------
 
     @staticmethod
-    def _poolable(processes: Optional[int], batch: Sequence,
-                  needs_caller_state: bool) -> bool:
+    def _poolable(processes: Optional[int], batch: Sequence) -> bool:
         """Whether a batch should go to the worker pool at all."""
-        return (processes is not None and processes > 1
-                and len(batch) > 1 and not needs_caller_state)
+        return processes is not None and processes > 1 and len(batch) > 1
 
     def _payload(self) -> tuple[str, bytes]:
         """(fingerprint, pickled self) shipped with every chunk task.
@@ -447,30 +402,18 @@ class Pipeline:
                        shape: Optional[DocumentShape], indexed: bool,
                        processes: int) -> list[DetectionResult]:
         fingerprint, payload = self._payload()
-        documents = [document for document, _ in batch]
-        records = [record for _, record in batch]
-        chunk_count = processes * parallel.CHUNKS_PER_WORKER
-        document_chunks = parallel.chunk_evenly(documents, chunk_count)
         # The piracy-hunting batch checks many copies against one
-        # record; each chunk then ships the record once instead of
-        # once per item (per-item payloads dominate pooled detect
-        # dispatch) — see all_same_record for why equality matters.
-        if all_same_record(records):
-            tasks = [
-                (fingerprint, payload, chunk, ("shared", records[0]),
-                 expected, shape, indexed)
-                for chunk in document_chunks
-            ]
-        else:
-            # chunk_evenly is deterministic for a given (length, count),
-            # so the record chunks align index-for-index with the
-            # document chunks.
-            record_chunks = parallel.chunk_evenly(records, chunk_count)
-            tasks = [
-                (fingerprint, payload, chunk, ("each", record_chunk),
-                 expected, shape, indexed)
-                for chunk, record_chunk in zip(document_chunks,
-                                               record_chunks)
-            ]
+        # record: each task's list then repeats one object, which
+        # pickle's memo writes once per chunk (see all_same_record for
+        # why equal records count as one).
+        if all_same_record([record for _, record in batch]):
+            shared = batch[0][1]
+            batch = [(document, shared) for document, _ in batch]
+        tasks = [
+            (fingerprint, payload, [document for document, _ in chunk],
+             [record for _, record in chunk], expected, shape, indexed)
+            for chunk in parallel.chunk_evenly(
+                batch, processes * parallel.CHUNKS_PER_WORKER)
+        ]
         chunks = parallel.map_recovering(processes, _detect_chunk, tasks)
         return [result for chunk in chunks for result in chunk]

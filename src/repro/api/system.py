@@ -344,7 +344,7 @@ class WmXMLSystem:
     # -- conveniences ------------------------------------------------------------
 
     def embed(self, scheme: SchemeLike, document: Document,
-              message: MessageLike, in_place: bool = False,
+              message: MessageLike,
               recipient: Optional[str] = None) -> EmbeddingResult:
         """Embed; with ``recipient`` set, issue a fingerprinted copy.
 
@@ -355,31 +355,27 @@ class WmXMLSystem:
         """
         pipeline, message, identity, keying = self._issuing(
             scheme, message, recipient)
-        result = pipeline.embed(document, message, in_place=in_place)
+        result = pipeline.embed(document, message)
         self._record(scheme, pipeline, identity, keying, [result])
         return result
 
     def embed_many(self, scheme: SchemeLike,
                    documents: Iterable[DocumentLike],
                    message: MessageLike,
-                   in_place: bool = False,
                    processes: Optional[int] = None,
                    output: str = "document",
                    recipient: Optional[str] = None) -> list[EmbeddingResult]:
         pipeline, message, identity, keying = self._issuing(
             scheme, message, recipient)
         results = pipeline.embed_many(documents, message,
-                                      in_place=in_place,
-                                      processes=processes,
-                                      output=output)
+                                      processes=processes, output=output)
         self._record(scheme, pipeline, identity, keying, results)
         return results
 
     def issue(self, scheme: SchemeLike, document: Document,
-              recipient: str, in_place: bool = False) -> EmbeddingResult:
+              recipient: str) -> EmbeddingResult:
         """Issue one fingerprinted copy to ``recipient`` (and record it)."""
-        return self.embed(scheme, document, recipient, in_place=in_place,
-                          recipient=recipient)
+        return self.embed(scheme, document, recipient, recipient=recipient)
 
     def issue_many(self, scheme: SchemeLike,
                    documents: Iterable[DocumentLike], recipient: str,

@@ -14,36 +14,8 @@ Each domain module exports ``generate_rows`` / ``generate_document``, at
 least two :class:`~repro.semantics.shape.DocumentShape` organisations,
 its keys/FDs in XML-constraint form, usability templates, and a
 ``default_scheme`` ready for the encoder.
-
-:func:`load_documents` is the batch mirror of
-:func:`repro.xmlmodel.parse_file`: it reads many XML files and parses
-them through :func:`repro.xmlmodel.parse_many`, optionally sharding the
-parse over a process pool — the way a service feeds a fleet of
-documents into ``Pipeline.embed_many``/``detect_many``.
 """
 
-from typing import Iterable, Optional
-
 from repro.datasets import bibliography, jobs, library, paper
-from repro.xmlmodel.parser import parse_many
-from repro.xmlmodel.tree import Document
 
-__all__ = ["bibliography", "jobs", "library", "load_documents", "paper"]
-
-
-def load_documents(paths: Iterable[str], strip_whitespace: bool = True,
-                   processes: Optional[int] = None) -> list[Document]:
-    """Read and parse many XML files, in input order.
-
-    ``strip_whitespace`` defaults to true — the data-centric convention
-    used everywhere in this system (indentation noise never carries
-    content).  ``processes=N`` shards the parsing over ``N`` worker
-    processes via :func:`repro.xmlmodel.parse_many`; file I/O stays in
-    the calling process.
-    """
-    texts = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            texts.append(handle.read())
-    return parse_many(texts, strip_whitespace=strip_whitespace,
-                      processes=processes)
+__all__ = ["bibliography", "jobs", "library", "paper"]

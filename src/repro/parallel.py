@@ -1,11 +1,12 @@
 """Shared process-pool infrastructure for batch sharding.
 
-Every batch API that escapes the GIL — ``parse_many(processes=N)``,
-``Pipeline.embed_many``/``detect_many`` — shards its work over a worker
-pool from this module.  Pools are *persistent*: the first batch with
-``processes=N`` forks the workers, subsequent batches reuse them, so
-the fork/bootstrap cost is paid once per process count instead of once
-per call.  That matters for the service workload the facade targets:
+The facade's batch APIs, ``Pipeline.embed_many``/``detect_many``,
+escape the GIL by sharding their per-document step over a worker pool
+from this module; :func:`map_recovering` maps only their two chunk
+tasks.  Pools are *persistent*: the first batch with ``processes=N``
+forks the workers, subsequent batches reuse them, so the
+fork/bootstrap cost is paid once per process count instead of once per
+call.  That matters for the service workload the facade targets:
 a 50-document batch embeds in tens of milliseconds, which a
 per-call pool would spend entirely on process startup.
 

@@ -134,6 +134,16 @@ def _decode_block(index: int, payload: str) -> LedgerBlock:
         payload, RegistryFormatError, f"ledger block {index}"))
 
 
+def _listed(payload: str):
+    """A quarantined payload as listed: its JSON object, or the raw
+    text when it holds none (torn, too deep, not an object)."""
+    try:
+        return load_json_object(payload, RegistryFormatError,
+                                "quarantined payload")
+    except RegistryFormatError:
+        return payload
+
+
 class SQLiteBackend(RegistryBackend):
     """Registry storage in a single SQLite file (or ``":memory:"``)."""
 
@@ -407,11 +417,7 @@ class SQLiteBackend(RegistryBackend):
                      datetime.timezone.utc).isoformat()))
             self._conn.execute(
                 f"DELETE FROM {table} WHERE {column} = ?", (ref,))
-        try:
-            parsed = json.loads(payload)
-        except ValueError:
-            parsed = payload
-        return {"kind": kind, "ref": ref, "payload": parsed,
+        return {"kind": kind, "ref": ref, "payload": _listed(payload),
                 "reason": reason}
 
     def quarantined(self) -> list[dict]:
@@ -420,15 +426,9 @@ class SQLiteBackend(RegistryBackend):
             rows = self._conn.execute(
                 "SELECT kind, ref, payload, reason, quarantined_at "
                 "FROM quarantine ORDER BY qid").fetchall()
-        out = []
-        for kind, ref, payload, reason, at in rows:
-            try:
-                parsed = json.loads(payload)
-            except ValueError:
-                parsed = payload
-            out.append({"kind": kind, "ref": ref, "payload": parsed,
-                        "reason": reason, "quarantined_at": at})
-        return out
+        return [{"kind": kind, "ref": ref, "payload": _listed(payload),
+                 "reason": reason, "quarantined_at": at}
+                for kind, ref, payload, reason, at in rows]
 
     def close(self) -> None:
         with self._lock:

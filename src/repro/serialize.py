@@ -22,6 +22,23 @@ from typing import ClassVar, Optional, Union
 from repro.errors import SerializationError
 
 
+class _RepeatedMember(Exception):
+    """An object named one member twice (raised out of :func:`json.loads`)."""
+
+
+def _members(pairs: list) -> dict:
+    """``object_pairs_hook`` that refuses an object naming a member
+    twice, where :mod:`json` would keep the last value silently."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise _RepeatedMember(name)
+            seen.add(name)
+    return members
+
+
 def load_json_object(data: Union[str, bytes], error: type,
                      what: str) -> dict:
     """Decode text or UTF-8 bytes holding one JSON object.
@@ -29,12 +46,15 @@ def load_json_object(data: Union[str, bytes], error: type,
     Each defect raises ``error``, the caller's
     :class:`~repro.errors.WmXMLError` subclass, with ``what`` naming the
     input: bytes that are not UTF-8, text that is not JSON, nesting
-    deeper than :mod:`json` can follow, and a value that is not an
-    object.
+    deeper than :mod:`json` can follow, an object that names a member
+    twice, and a value that is not an object.
     """
     try:
         value = json.loads(data.decode("utf-8") if isinstance(data, bytes)
-                           else data)
+                           else data, object_pairs_hook=_members)
+    except _RepeatedMember as cause:
+        raise error(f"{what} names the member {cause.args[0]!r} "
+                    "more than once") from None
     except UnicodeDecodeError as cause:
         raise error(f"{what} is not UTF-8: {cause}") from cause
     except ValueError as cause:

@@ -34,8 +34,8 @@ class XMLSyntaxError(XMLError):
     def __reduce__(self):
         # Default exception pickling replays ``args`` (the formatted
         # string) against the three-argument constructor and explodes;
-        # parse errors must survive the trip back from ``parse_many``'s
-        # process-pool workers.
+        # a parse error raised in a pool worker's batch step must
+        # survive the trip back to the caller.
         return (XMLSyntaxError, (self.message, self.line, self.column))
 
 

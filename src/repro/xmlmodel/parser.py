@@ -34,10 +34,9 @@ with 1-based line/column positions (computed on the EOL-normalised
 text).
 
 Batch parsing goes through :func:`parse_many`, which reuses one parser
-for the whole batch and can optionally shard the batch over a process
-pool (``processes=N``) — parsing is pure CPU work on immutable strings,
-so it is the one pipeline stage that parallelises cleanly beyond the
-GIL.
+for the whole batch.  (The facade's batch engine parses each text
+inside its per-document step instead — in a pool worker when the
+batch is pooled; see :mod:`repro.api.pipeline`.)
 """
 
 from __future__ import annotations
@@ -542,58 +541,17 @@ class XMLParser:
         return _Scanner(_normalize_eol(text),
                         self.strip_whitespace).parse_document()
 
-    def parse_many(self, texts: Iterable[str],
-                   processes: Optional[int] = None) -> list[Document]:
-        """Parse a batch of XML strings; see :func:`parse_many`."""
-        return parse_many(texts, strip_whitespace=self.strip_whitespace,
-                          processes=processes)
-
 
 def parse(text: str, strip_whitespace: bool = False) -> Document:
     """Parse an XML string into a :class:`Document` (module-level shortcut)."""
     return XMLParser(strip_whitespace=strip_whitespace).parse(text)
 
 
-def _parse_chunk(payload: tuple[tuple[str, ...], bool]) -> list[Document]:
-    """Top-level chunk worker for :func:`parse_many`'s process pool."""
-    texts, strip_whitespace = payload
+def parse_many(texts: Iterable[str],
+               strip_whitespace: bool = False) -> list[Document]:
+    """Parse many XML strings with one reused parser, in input order."""
     parser = XMLParser(strip_whitespace=strip_whitespace)
     return [parser.parse(text) for text in texts]
-
-
-def parse_many(texts: Iterable[str], strip_whitespace: bool = False,
-               processes: Optional[int] = None) -> list[Document]:
-    """Parse many XML strings, optionally sharded over a process pool.
-
-    With ``processes`` unset (or < 2) the batch is parsed serially by a
-    single reused parser.  With ``processes=N`` the batch is cut into
-    contiguous chunks and sharded over the *persistent* worker pool
-    (:mod:`repro.parallel`, shared with the facade's batch engine) —
-    parsing is pure CPU work, so it scales past the GIL; the parsed
-    :class:`Document` trees are pickled back to the caller.  Results
-    are returned in input order either way, and a syntax error in any
-    document propagates as the same :class:`XMLSyntaxError` the serial
-    path would raise.
-
-    Failures are recovered per chunk by
-    :func:`repro.parallel.map_recovering`, as in the batch embed and
-    detect: a chunk holding a malformed document is parsed once more in
-    this process, which raises its error.  A tree pickles as one flat
-    list (``Element.__reduce__``), so any depth the scanner parses
-    also travels back from a worker.
-    """
-    batch = list(texts)
-    if processes is not None and processes > 1 and len(batch) > 1:
-        from repro import parallel
-
-        payloads = [
-            (tuple(chunk), strip_whitespace)
-            for chunk in parallel.chunk_evenly(
-                batch, processes * parallel.CHUNKS_PER_WORKER)]
-        chunks = parallel.map_recovering(processes, _parse_chunk, payloads)
-        return [document for chunk in chunks for document in chunk]
-    parser = XMLParser(strip_whitespace=strip_whitespace)
-    return [parser.parse(text) for text in batch]
 
 
 def parse_file(path: str, strip_whitespace: bool = False) -> Document:

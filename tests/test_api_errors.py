@@ -389,7 +389,14 @@ JSON_DEFECTS = {
     "deep": b"[" * 100_000,
     "not-utf8": b"\xff\xfe{",
     "array": b"[1]",
+    "repeated": b'{"zz": 1, "zz": 2}',
 }
+
+#: Readers that answer every decode defect in their own words: a reply
+#: that is not an envelope is a plain ``remote-error``, and any bad
+#: claims segment is a "malformed bearer token".
+OWN_WORDS = {"client._remote_error": "HTTP 502",
+             "tokens.verify_token": "malformed bearer token"}
 
 
 @pytest.mark.parametrize("defect", sorted(JSON_DEFECTS))
@@ -397,9 +404,20 @@ JSON_DEFECTS = {
 def test_every_json_reader_refuses_each_defect_with_its_own_error(
         reader, defect, tmp_path):
     # Every reader of JSON input decodes through one function: bad
-    # bytes, bad JSON, nesting deeper than json follows and a value that
-    # is not an object each raise the reader's WmXMLError subclass.
+    # bytes, bad JSON, nesting deeper than json follows, an object that
+    # names a member twice and a value that is not an object each raise
+    # the reader's WmXMLError subclass.
     error, read = JSON_READERS[reader]
     with pytest.raises(error) as raised:
         read(JSON_DEFECTS[defect], tmp_path)
     assert isinstance(raised.value, WmXMLError)
+    if defect == "repeated":
+        # json keeps the last of two equal names without a word; the
+        # decode rule refuses the object and says which name it repeats.
+        if reader in OWN_WORDS:
+            assert OWN_WORDS[reader] in str(raised.value)
+            assert "zz" not in str(raised.value)
+        else:
+            assert "member 'zz' more than once" in str(raised.value)
+        if reader == "client._remote_error":
+            assert raised.value.code == "remote-error"

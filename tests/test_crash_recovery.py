@@ -457,6 +457,62 @@ class TestLedgerRecoverCommand:
         assert "chain-broken" in err
 
 
+#: Quarantined payloads that hold no JSON object: torn text, nesting
+#: deeper than json follows, and a value that is not an object.
+UNREADABLE_PAYLOADS = {"not-json": "not json", "deep": "[" * 100_000,
+                       "array": "[1]"}
+
+
+class TestQuarantineListing:
+    """A quarantined payload lists as its JSON object, or as its raw
+    text when it holds none, whatever the text is."""
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_PAYLOADS))
+    def test_listing_and_recover_show_the_raw_text(self, tmp_path, capsys,
+                                                   name):
+        from repro.cli import main
+        path = str(tmp_path / "r.db")
+        SQLiteBackend(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute("INSERT INTO quarantine (kind, ref, payload, reason, "
+                     "quarantined_at) VALUES ('record', 0, ?, 'torn', "
+                     "'2026-01-01T00:00:00+00:00')",
+                     (UNREADABLE_PAYLOADS[name],))
+        conn.commit()
+        conn.close()
+        backend = SQLiteBackend(path)
+        [listed] = backend.quarantined()
+        assert listed["payload"] == UNREADABLE_PAYLOADS[name]
+        backend.close()
+        assert main(["ledger", "recover", "--registry", path]) == 0
+        assert "(1 total in quarantine)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_PAYLOADS))
+    def test_quarantining_a_row_returns_the_raw_text(self, tmp_path, name):
+        path = str(tmp_path / "r.db")
+        SQLiteBackend(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute("INSERT INTO records (sequence, recipient, "
+                     "scheme_fingerprint, document_hash, payload) "
+                     "VALUES (0, 'a', 's', 'd', ?)",
+                     (UNREADABLE_PAYLOADS[name],))
+        conn.commit()
+        conn.close()
+        backend = SQLiteBackend(path)
+        moved = backend.quarantine_trailing("record", "torn")
+        assert moved["payload"] == UNREADABLE_PAYLOADS[name]
+        assert backend.record_count() == 0
+        backend.close()
+
+    def test_an_object_payload_lists_decoded(self, tmp_path):
+        path = str(tmp_path / "reg.db")
+        _torn_with_orphan_record(path)
+        registry = WatermarkRegistry.open(path, sealer=SEALER)
+        [kept] = registry.quarantined()
+        assert kept["payload"]["recipient"] == "orphan"
+        registry.close()
+
+
 # ---------------------------------------------------------------------------
 # Process-pool per-chunk recovery
 # ---------------------------------------------------------------------------
@@ -492,9 +548,9 @@ class _LoggedParse:
 class TestPoolChunkRecovery:
     def test_a_raising_chunk_runs_once_more_in_the_caller(self, tmp_path):
         """An error raised in a live worker is not retried on the pool:
-        the chunk runs once in this process, which raises it.  The
-        chunks are the ones ``parse_many`` cuts from these four texts
-        on two workers."""
+        the chunk runs once in this process, which raises it.  Each of
+        the four chunks holds one text, as a two-worker batch cuts four
+        texts."""
         log = tmp_path / "attempts.log"
         bad = "<a><b></a>"
         with pytest.raises(XMLSyntaxError):
@@ -510,6 +566,20 @@ class TestPoolChunkRecovery:
                                               processes=2)
         assert [serialize(r.document) for r in pooled] == \
             [serialize(r.document) for r in serial]
+
+    def test_a_chunk_run_in_the_caller_copies_caller_documents(
+            self, pool_pipeline, pool_texts):
+        """A chunk that raised in a worker runs back in this process,
+        where it must mark copies, not the caller's trees."""
+        documents = [parse(text, strip_whitespace=True)
+                     for text in pool_texts]
+        serial = pool_pipeline.embed_many(pool_texts, "(c) pool")
+        with injected("pool.chunk", "raise", scope="worker", times=1):
+            pooled = pool_pipeline.embed_many(documents, "(c) pool",
+                                              processes=2)
+        assert [serialize(r.document) for r in pooled] == \
+            [serialize(r.document) for r in serial]
+        assert [serialize(document) for document in documents] == pool_texts
 
     def test_dying_worker_recovers_to_serial_output(self, pool_pipeline,
                                                     pool_texts):

@@ -29,7 +29,7 @@ from repro.core.crypto import KeyedPRF
 from repro.datasets import bibliography, library
 from repro.errors import WmXMLError
 from repro.parallel import shared_pool
-from repro.xmlmodel import parse, parse_many, serialize
+from repro.xmlmodel import parse, serialize
 from repro.xmlmodel.errors import XMLSyntaxError
 
 KEY = "parallel-engine-key"
@@ -162,22 +162,15 @@ class TestPooledEmbed:
                                              marked):
         documents = [parse(text, strip_whitespace=True)
                      for text in batch_texts]
-        pooled = pipeline.embed_many(documents, MESSAGE, processes=2)
-        assert ([serialize(item.document) for item in pooled]
-                == [serialize(item.document) for item in marked])
-        # Caller documents stay untouched (the workers embed into
-        # their own pickled copies).
-        assert [serialize(document) for document in documents] == batch_texts
-
-    def test_in_place_documents_bypass_the_pool(self, pipeline,
-                                                batch_texts):
-        documents = [parse(text, strip_whitespace=True)
-                     for text in batch_texts[:3]]
-        pipeline.embed_many(documents, MESSAGE, in_place=True, processes=2)
-        # in_place promises caller-visible mutation, which only the
-        # serial path can honour — the documents must carry the mark.
-        assert ([serialize(document) for document in documents]
-                != batch_texts[:3])
+        # Caller documents stay untouched on both paths: the step
+        # marks a copy of every Document it is given.
+        for processes in (None, 2):
+            results = pipeline.embed_many(documents, MESSAGE,
+                                          processes=processes)
+            assert ([serialize(item.document) for item in results]
+                    == [serialize(item.document) for item in marked])
+            assert ([serialize(document) for document in documents]
+                    == batch_texts)
 
     def test_syntax_error_propagates_from_workers(self, pipeline,
                                                   batch_texts):
@@ -249,10 +242,14 @@ class TestPooledDetect:
 
     def test_shared_record_ships_once_per_chunk(self, pipeline, marked,
                                                 monkeypatch):
-        # Inspect the actual chunk tasks: one record object across the
-        # batch must dispatch as ("shared", record), per-item records
-        # as ("each", [...]) — run in-process so payloads are visible.
+        # Inspect the actual chunk tasks, run in-process so payloads
+        # are visible.  A task carries one record per document; a batch
+        # judged by one record, whether one object or equal but
+        # distinct ones (the same record.json loaded per suspected
+        # copy), repeats one object, which pickle's memo writes once
+        # per chunk.
         from repro import parallel
+        from repro.core.record import WatermarkRecord
 
         captured = []
 
@@ -264,43 +261,40 @@ class TestPooledDetect:
         monkeypatch.setattr(parallel, "map_recovering", capture_and_run)
 
         reference = marked[0]
-        copies = [(serialize(reference.document), reference.record)
-                  for _ in range(6)]
-        serial = pipeline.detect_many(copies, expected=MESSAGE)
-        pooled = pipeline.detect_many(copies, expected=MESSAGE, processes=2)
-        assert captured, "batch did not go through the pooled path"
-        modes = {task[3][0] for task in captured}
-        assert modes == {"shared"}
-        assert all(task[3][1] is reference.record for task in captured)
-        assert ([outcome.to_dict() for outcome in pooled]
-                == [outcome.to_dict() for outcome in serial])
-
-        captured.clear()
-        # Equal-but-*distinct* records (the same record.json loaded per
-        # suspected copy) must also collapse to shared: pickle's memo
-        # already dedupes one identical object, so equality is where
-        # the payload saving actually lives.
-        from repro.core.record import WatermarkRecord
-
-        reloaded = [(serialize(reference.document),
+        text = serialize(reference.document)
+        shared = [(text, reference.record) for _ in range(24)]
+        reloaded = [(text,
                      WatermarkRecord.from_dict(reference.record.to_dict()))
-                    for _ in range(6)]
-        pooled = pipeline.detect_many(reloaded, expected=MESSAGE,
-                                      processes=2)
-        serial = pipeline.detect_many(reloaded, expected=MESSAGE)
-        assert {task[3][0] for task in captured} == {"shared"}
-        assert ([outcome.to_dict() for outcome in pooled]
-                == [outcome.to_dict() for outcome in serial])
+                    for _ in range(24)]
+        for copies in (shared, reloaded):
+            captured.clear()
+            pooled = pipeline.detect_many(copies, expected=MESSAGE,
+                                          processes=2)
+            serial = pipeline.detect_many(copies, expected=MESSAGE)
+            assert len(captured) > 1, "batch did not go through the pool"
+            assert sum(len(task[2]) for task in captured) == len(copies)
+            for task in captured:
+                records = task[3]
+                assert len(records) == len(task[2]) > 1
+                assert all(record is copies[0][1] for record in records)
+                single = task[:3] + (records[:1],) + task[4:]
+                assert (len(pickle.dumps(task))
+                        - len(pickle.dumps(single))) < 16 * len(records)
+            assert ([outcome.to_dict() for outcome in pooled]
+                    == [outcome.to_dict() for outcome in serial])
 
         captured.clear()
         items = [(serialize(result.document), result.record)
-                 for result in marked]
+                 for result in marked] * 3
         pooled = pipeline.detect_many(items, expected=MESSAGE, processes=2)
         serial = pipeline.detect_many(items, expected=MESSAGE)
-        assert {task[3][0] for task in captured} == {"each"}
-        # Record chunks stay aligned with their document chunks.
-        flattened = [record for task in captured for record in task[3][1]]
-        assert flattened == [record for _, record in items]
+        # Per-item records stay aligned with their documents.
+        shipped = [pair for task in captured
+                   for pair in zip(task[2], task[3], strict=True)]
+        assert len(shipped) == len(items)
+        assert all(document == sent and record is wanted
+                   for (document, record), (sent, wanted)
+                   in zip(shipped, items))
         assert ([outcome.to_dict() for outcome in pooled]
                 == [outcome.to_dict() for outcome in serial])
 
@@ -424,13 +418,37 @@ class TestTreesTooDeepToPickle:
         assert ([item.record.to_dict() for item in pooled]
                 == [item.record.to_dict() for item in serial])
 
-    def test_pooled_parse_of_a_deep_text_matches_serial(self):
-        deep = "<d>" * self.DEPTH + "x" + "</d>" * self.DEPTH
-        texts = [deep, "<a/>", '<b x="1">t</b>']
-        pooled = parse_many(texts, processes=2)
-        assert ([serialize(document) for document in pooled]
-                == [serialize(document) for document in parse_many(texts)]
-                == texts)
+    def test_deep_text_batch_matches_serial(self, pipeline, batch_texts,
+                                            monkeypatch):
+        """A deep text is parsed by the worker's step, then marked and
+        checked there like any other."""
+        chain = "<note>" * self.DEPTH + "x" + "</note>" * self.DEPTH
+        texts = ([batch_texts[0].replace("</book>", chain + "</book>", 1)]
+                 + batch_texts[1:4])
+        serial = pipeline.embed_many(texts, MESSAGE, output="xml")
+        items = [(item.xml, item.record) for item in serial]
+        serial_outcomes = pipeline.detect_many(items, expected=MESSAGE)
+        chunks_run_here = []
+        caller, seam = os.getpid(), pipeline_module.fault_point
+
+        def spy(point):
+            if os.getpid() == caller:
+                chunks_run_here.append(point)
+            seam(point)
+
+        monkeypatch.setattr(pipeline_module, "fault_point", spy)
+        pooled = pipeline.embed_many(texts, MESSAGE, processes=2,
+                                     output="xml")
+        pooled_outcomes = pipeline.detect_many(items, expected=MESSAGE,
+                                               processes=2)
+        assert chunks_run_here == []
+        assert chain in pooled[0].xml
+        assert [item.xml for item in pooled] == [item.xml for item in serial]
+        assert ([item.record.to_dict() for item in pooled]
+                == [item.record.to_dict() for item in serial])
+        assert ([outcome.to_dict() for outcome in pooled_outcomes]
+                == [outcome.to_dict() for outcome in serial_outcomes])
+        assert all(outcome.detected for outcome in pooled_outcomes)
 
 
 class TestWorkersFreezeTheirInheritedHeap:

@@ -376,8 +376,18 @@ def _nested_scheme_put(marked):
     return "PUT", "/v1/schemes/broken", b"[" * 5000 + b"]" * 5000
 
 
+def _repeated_message_embed(marked):
+    """An embed that names ``message`` twice, of which ``json.loads``
+    alone keeps the last."""
+    body = _request_body(scheme="books", document=marked["xml"],
+                         message="a")
+    return "POST", "/v1/embed", body.replace(
+        b'"message": "a"', b'"message": "a", "message": "b"')
+
+
 #: Client-controlled input that once reached the 500 ``internal-error``
-#: envelope (or, for a huge ``nbits``, ran the daemon out of memory):
+#: envelope (or, for a huge ``nbits``, ran the daemon out of memory, and
+#: for a repeated member, was read as its last value):
 #: (id, request builder, the 4xx slug it must answer).
 BAD_CLIENT_INPUT = [
     *[(f"record-gamma-{value!r}", _detect_request({"gamma": value}),
@@ -415,6 +425,8 @@ BAD_CLIENT_INPUT = [
     ("embed-scheme-nested-5000-deep", _nested_scheme_embed,
      "malformed-request"),
     ("put-scheme-nested-5000-deep", _nested_scheme_put,
+     "malformed-request"),
+    ("embed-repeated-member", _repeated_message_embed,
      "malformed-request"),
 ]
 

@@ -264,12 +264,24 @@ class TestTokenFuzz:
         assert payload["error"]["code"] == "unauthorized"
 
 
+def _repeats_a_member(data: bytes) -> bool:
+    """Whether some object in the JSON ``data`` names a member twice."""
+    repeated = []
+
+    def members(pairs):
+        repeated.append(len(dict(pairs)) < len(pairs))
+        return dict(pairs)
+
+    json.loads(data, object_pairs_hook=members)
+    return any(repeated)
+
+
 class TestTenantsFileFuzz:
     """Seeded mutations of a tenants file: every field but the quotas
     takes values of every JSON type, and whole files are damaged on
     disk.  Each outcome is a parsed config or a ``TenantConfigError``,
-    and a parsed config holds one key generation per entry of
-    ``keys``."""
+    a parsed config holds one key generation per entry of ``keys``,
+    and a file that names a member twice is refused."""
 
     SEED = 20261
     CASES = 3000
@@ -285,6 +297,16 @@ class TestTenantsFileFuzz:
     KEY_TEXTS = ("1", "2", "3", "01", " 1", "1 ", "+1", "-1", "0", "1_0",
                  "\u0661", "1.0", "", "one", "9" * 5000)
     NAMES = ("acme", "globex", "", " ", "\x00", "\u00e9", "1")
+    #: Edits of the file's bytes that name a member twice, at each
+    #: level: a key id, a tenant, a top-level field, a quota field and
+    #: a tenant's field.
+    REPEATS = (
+        (b'"2": "tenancy-master-two"', b'"1": "tenancy-master-two"'),
+        (b'"globex": {', b'"acme": {'),
+        (b'"active_key_id": 2', b'"active_key_id": 2, "active_key_id": 1'),
+        (b'"request_burst": 2', b'"request_burst": 2, "request_burst": 9'),
+        (b'"scopes": [', b'"scopes": [], "scopes": ['),
+    )
 
     def _value(self, rng):
         return json.loads(json.dumps(rng.choice(self.VALUES)))
@@ -345,7 +367,8 @@ class TestTenantsFileFuzz:
                 + rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xfe"])
                 + data[position:])
 
-    def _check(self, parse, keys_of, outcomes, escaped):
+    def _check(self, parse, keys_of, outcomes, escaped,
+               repeats=lambda: False):
         try:
             config = parse()
         except TenantConfigError:
@@ -355,6 +378,8 @@ class TestTenantsFileFuzz:
             escaped.append(repr(error)[:200])
             return
         outcomes["parsed"] += 1
+        if repeats():
+            escaped.append("a file naming a member twice parsed")
         if len(config.keys.key_ids()) != len(keys_of()):
             escaped.append(f"{len(keys_of())} key entries parsed to "
                            f"generations {config.keys.key_ids()}")
@@ -378,12 +403,15 @@ class TestTenantsFileFuzz:
         path = tmp_path / "tenants.json"
         outcomes = {"parsed": 0, "refused": 0}
         escaped = []
-        for _ in range(self.FILES):
-            data = self._damage(rng, original)
+        damaged = [self._damage(rng, original) for _ in range(self.FILES)]
+        for old, new in self.REPEATS:  # a member named twice
+            assert old in original
+            damaged.append(original.replace(old, new, 1))
+        for data in damaged:
             path.write_bytes(data)
             self._check(lambda: TenantsConfig.load(str(path)),
                         lambda: json.loads(data)["keys"], outcomes,
-                        escaped)
+                        escaped, lambda: _repeats_a_member(data))
         assert escaped == []
         assert outcomes["parsed"] and outcomes["refused"] >= 100
 

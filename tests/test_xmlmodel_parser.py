@@ -357,24 +357,3 @@ class TestParseMany:
     def test_strip_whitespace_mode(self):
         docs = parse_many(["<db>\n  <x>1</x>\n</db>"], strip_whitespace=True)
         assert all(not isinstance(c, Text) for c in docs[0].root.children)
-
-    def test_process_pool_matches_serial(self):
-        pooled = parse_many(self.TEXTS * 3, processes=2)
-        assert [serialize(d) for d in pooled] == self.TEXTS * 3
-
-    def test_process_pool_documents_fully_usable(self):
-        doc = parse_many(self.TEXTS, processes=2)[0]
-        assert doc.root.children_by_tag("b")[0].text == "1"
-        assert doc.root.order_index()[id(doc.root)] == 0
-
-    def test_syntax_error_propagates_from_pool(self):
-        with pytest.raises(XMLSyntaxError) as excinfo:
-            parse_many(["<a/>", "<a><b></a>"], processes=2)
-        assert excinfo.value.line >= 1
-
-    def test_pool_falls_back_to_serial_for_unpicklably_deep_trees(self):
-        depth = 4000
-        text = "<d>" * depth + "x" + "</d>" * depth
-        docs = parse_many([text, "<a/>"], processes=2)
-        assert serialize(docs[1]) == "<a/>"
-        assert docs[0].root.tag == "d"
