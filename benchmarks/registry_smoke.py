@@ -9,10 +9,12 @@ document and assert that ``POST /v1/trace`` accuses a true colluder,
 that a second trace answers the same verdicts from the records the
 first one decoded, that ``GET /v1/ledger/verify`` still reports an
 intact chain, that rewriting one record's payload in the database file
-under the running daemon makes it answer ``chain-broken``, and that
-both daemon lifetimes exit 0 on SIGTERM with the write-ahead log
-checkpointed into the database file (``registry.db-wal`` absent or
-empty).
+under the running daemon makes it answer ``chain-broken``, that a
+colluder's record whose stored bit index is rewritten under the daemon
+is refused by the next trace (the plan the daemon held for the old row
+is not reused), and that both daemon lifetimes exit 0 on SIGTERM with
+the write-ahead log checkpointed into the database file
+(``registry.db-wal`` absent or empty).
 
 Run from the repo root::
 
@@ -52,6 +54,15 @@ def assert_wal_checkpointed(registry_path: str) -> None:
     wal = registry_path + "-wal"
     size = os.path.getsize(wal) if os.path.exists(wal) else 0
     assert size == 0, f"{wal} still holds {size} bytes after SIGTERM"
+
+
+def rewrite_payload(registry_path: str, sequence: int, text: str) -> None:
+    """Replace one record row's payload in the database file."""
+    conn = sqlite3.connect(registry_path)
+    conn.execute("UPDATE records SET payload = ? WHERE sequence = ?",
+                 (text, sequence))
+    conn.commit()
+    conn.close()
 
 
 def main() -> int:
@@ -132,6 +143,31 @@ def main() -> int:
             assert report["blocks"] == total, report
             print(f"ledger ok: {report['blocks']} sealed blocks intact "
                   "after restart")
+
+            # Rewrite a colluder's leaked copy's first bit index: the
+            # next trace must refuse that record, not reuse the plan the
+            # daemon holds for the row as it was.  The row is then put
+            # back, so the chain verifies again.
+            tampered = COLLUDERS[1]
+            conn = sqlite3.connect(registry_path)
+            sequence, original = conn.execute(
+                "SELECT sequence, payload FROM records WHERE recipient = ? "
+                "ORDER BY sequence LIMIT 1", (tampered,)).fetchone()
+            conn.close()
+            payload = json.loads(original)
+            first = payload["record"]["queries"][0]
+            first["bit_index"] = (first["bit_index"] + 1) \
+                % payload["record"]["nbits"]
+            rewrite_payload(registry_path, sequence, json.dumps(payload))
+            after = client.trace(leak)
+            rewrite_payload(registry_path, sequence, original)
+            verdict = after.verdicts[tampered]
+            assert verdict.queries_rejected >= 1, verdict.to_dict()
+            assert tampered not in after.accused, after.to_dict()
+            assert client.verify_ledger()["intact"] is True
+            print(f"tamper ok: {tampered!r}'s rewritten record is refused "
+                  f"({verdict.queries_rejected} query rejected; accused "
+                  f"{after.accused!r}), and verifies again once restored")
 
             # Rewrite one record under the running daemon: the decode
             # it holds must not hide the change from the ledger check.

@@ -85,7 +85,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 from repro import parallel
-from repro.core.decoder import DetectionResult, WmXMLDecoder
+from repro.core.decoder import DetectionPlan, DetectionResult, WmXMLDecoder
 from repro.faults import fault_point
 from repro.core.encoder import EmbeddingResult, WmXMLEncoder
 from repro.core.record import WatermarkRecord, all_same_record
@@ -194,7 +194,10 @@ def _detect_one(decoder: WmXMLDecoder, item: DocumentLike,
 
 #: Per-worker compiled pipelines, keyed by content fingerprint; each
 #: worker unpickles a deployment once and keeps its caches warm across
-#: every chunk and batch that names the same fingerprint.
+#: every chunk and batch that names the same fingerprint.  Only pool
+#: workers fill it: a chunk run back in the calling process unpickles
+#: its pipeline for that chunk alone, so no second copy of the
+#: caller's key outlives it there.
 _WORKER_PIPELINES: dict[str, "Pipeline"] = {}
 
 #: Bound on distinct deployments a worker keeps compiled.
@@ -205,9 +208,10 @@ def _worker_pipeline(fingerprint: str, payload: bytes) -> "Pipeline":
     pipeline = _WORKER_PIPELINES.get(fingerprint)
     if pipeline is None:
         pipeline = pickle.loads(payload)
-        if len(_WORKER_PIPELINES) >= _WORKER_PIPELINE_LIMIT:
-            del _WORKER_PIPELINES[next(iter(_WORKER_PIPELINES))]
-        _WORKER_PIPELINES[fingerprint] = pipeline
+        if parallel.in_worker():
+            if len(_WORKER_PIPELINES) >= _WORKER_PIPELINE_LIMIT:
+                del _WORKER_PIPELINES[next(iter(_WORKER_PIPELINES))]
+            _WORKER_PIPELINES[fingerprint] = pipeline
     return pipeline
 
 
@@ -315,6 +319,7 @@ class Pipeline:
         shape: Optional[DocumentShape] = None,
         strategy: str = "auto",
         executor: Optional[LogicalExecutor] = None,
+        plan: Optional[DetectionPlan] = None,
     ) -> DetectionResult:
         """Run the stored query set Q against a suspected document.
 
@@ -324,13 +329,21 @@ class Pipeline:
         the module docstring.  ``executor``, one already built over
         ``document`` in that shape, spares the indexed engine its shred
         (see :func:`repro.api.system.sweep_trace`); ``scan`` ignores it.
+        ``plan``, this pipeline's :meth:`plan` of ``record``, spares
+        the decoder re-authenticating it; without one it builds its own.
         """
         return self._decoder.detect(
             document, record, shape or self.scheme.shape,
             expected=None if expected is None else _as_watermark(expected),
             indexed=_resolve_strategy(strategy),
             executor=executor,
+            plan=plan,
         )
+
+    def plan(self, record: WatermarkRecord) -> DetectionPlan:
+        """``record``'s detection plan under this pipeline's key (see
+        :class:`~repro.core.decoder.DetectionPlan`)."""
+        return self._decoder.plan(record)
 
     @profiled("api.detect_many")
     def detect_many(

@@ -19,6 +19,7 @@ system with an in-memory registry.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -31,7 +32,7 @@ from repro.api.pipeline import (
     scheme_content_key,
 )
 from repro.core.crypto import KeyedPRF
-from repro.core.decoder import DetectionResult
+from repro.core.decoder import DetectionPlan, DetectionResult
 from repro.core.encoder import EmbeddingResult
 from repro.core.fingerprint import TraceResult
 from repro.core.record import WatermarkRecord
@@ -58,12 +59,14 @@ CONTENT_CACHE_MAX = 64
 #: Ceiling on the warm verifiers a system holds for traces, counted in
 #: the stored queries of the records they have verified.  A warm
 #: verifier is a recipient's derived-key pipeline with its PRF memos
-#: filled: about 170-225 B per query (measured with tracemalloc: 10.9 KB
-#: for a 20-book copy, 70 KB for a 200-book one), so a full budget
-#: holds about 13 MiB.  Unlike the LRU, the map fills and never
-#: evicts: a sweep reads records in sequence order, so an LRU smaller
-#: than the corpus would never hit.  Past the budget, a record verifies
-#: under a freshly compiled pipeline.
+#: filled, and each record it verified keeps its detection plan while
+#: the registry keeps the record: together about 240-330 B per query
+#: (measured with tracemalloc at gamma 1: 16.0 KB for a 20-book copy,
+#: 100 KB for a 200-book one; the plan is 70-85 B of it), so a full
+#: budget holds at most about 21 MiB.  Unlike the LRU, the map fills
+#: and never evicts: a sweep reads records in sequence order, so an LRU
+#: smaller than the corpus would never hit.  Past the budget, a record
+#: verifies under a freshly compiled pipeline and holds no plan.
 VERIFIER_BUDGET_QUERIES = 65_536
 
 #: Prefix of the registry identity that records an owner embed of a
@@ -109,7 +112,8 @@ class WmXMLSystem:
         self._pipelines: dict[tuple[str, Optional[str]], Pipeline] = {}
         # Trace verifiers, keyed alike but held apart from the LRU: the
         # (key, sequence) of every record charged to the budget, and
-        # the stored queries charged so far.
+        # the stored queries charged so far.  A charged record's plan
+        # rides on the record object itself (see _held_plan).
         self._verifiers: dict[tuple[str, str], Pipeline] = {}
         self._verified: set[tuple[tuple[str, str], int]] = set()
         self._verifier_queries = 0
@@ -420,62 +424,72 @@ class WmXMLSystem:
             raise UnknownRecipientError(recipient,
                                         known=registry.recipients())
         entry = entries[-1]
-        return self._trace_pipelines(scheme)(entry).detect(
+        pipeline, plan = self._trace_pipelines(scheme)(entry)
+        return pipeline.detect(
             document, entry.record, expected=recorded_message(entry),
-            shape=shape, strategy=strategy)
+            shape=shape, strategy=strategy, plan=plan)
 
     def _trace_pipelines(
-            self, scheme: SchemeLike) -> Callable[[RegistryRecord], Pipeline]:
-        """The pipeline that verifies each registry record: every record
-        of a trace, and the one :meth:`detect_recorded` picks.
+            self, scheme: SchemeLike
+    ) -> Callable[[RegistryRecord], tuple[Pipeline, Optional[DetectionPlan]]]:
+        """The pipeline that verifies each registry record, and the
+        record's held plan or ``None``: for every record of a trace,
+        and the one :meth:`detect_recorded` picks.
 
         ``scheme`` is resolved once here, not once per record.  A
         recipient's record verifies under that recipient's warm
         verifier (:meth:`_verifier`), not through the pipeline LRU,
         which traces leave as issuance left it; every owner record
-        shares the one system-key pipeline.
+        shares the one system-key pipeline and holds no plan.
         """
         resolved, content = self._resolve(scheme)
         owner: Optional[Pipeline] = None
 
-        def pipeline_for(entry: RegistryRecord) -> Pipeline:
+        def pipeline_for(
+                entry: RegistryRecord
+        ) -> tuple[Pipeline, Optional[DetectionPlan]]:
             nonlocal owner
             if entry.keying == "recipient":
                 return self._verifier(resolved, content, entry)
             if owner is None:
                 owner = self.pipeline(scheme)
-            return owner
+            return owner, None
 
         return pipeline_for
 
     def _verifier(self, resolved: WatermarkingScheme, content: str,
-                  entry: RegistryRecord) -> Pipeline:
-        """The held verifier for a recipient's record, within budget.
+                  entry: RegistryRecord
+                  ) -> tuple[Pipeline, Optional[DetectionPlan]]:
+        """The held verifier for a recipient's record and the record's
+        plan under it, within budget.
 
         A record is charged its stored queries the first time a held
         verifier checks it; a charged record is checked under that
-        verifier ever after.  A record the budget cannot take verifies
-        under a freshly compiled pipeline.  The memos map inputs to that
-        key's own HMACs, so a warm verifier judges a rewritten row
-        exactly as a cold one would.
+        verifier ever after, through the plan held on the record
+        (:func:`_held_plan`).  A record the budget cannot take verifies
+        under a freshly compiled pipeline and holds no plan.  The memos
+        map inputs to that key's own HMACs, so a warm verifier judges a
+        rewritten row exactly as a cold one would.
         """
         key = (content, entry.recipient)
         charge = (key, entry.sequence)
         queries = len(entry.record.queries)
         with self._lock:
             verifier = self._verifiers.get(key)
-            if charge in self._verified:
-                return verifier
-            if self._verifier_queries + queries <= VERIFIER_BUDGET_QUERIES:
+            charged = charge in self._verified
+            if not charged and (self._verifier_queries + queries
+                                <= VERIFIER_BUDGET_QUERIES):
                 if verifier is None:
                     verifier = self._verifiers[key] = Pipeline(
                         resolved, self.recipient_key(entry.recipient),
                         alpha=self.alpha)
                 self._verified.add(charge)
                 self._verifier_queries += queries
-                return verifier
+                charged = True
+        if charged:
+            return verifier, _held_plan(verifier, entry)
         return Pipeline(resolved, self.recipient_key(entry.recipient),
-                        alpha=self.alpha)
+                        alpha=self.alpha), None
 
     def detect(
         self,
@@ -563,6 +577,27 @@ class Fingerprinter:
                                   strategy="auto" if indexed else "scan")
 
 
+def _held_plan(verifier: Pipeline, entry: RegistryRecord) -> DetectionPlan:
+    """``entry``'s detection plan under ``verifier``, built once.
+
+    The plan rides on the record object the registry handed back,
+    beside a weak reference to the verifier that built it, and is
+    reused only by that verifier and only for that object.  So it
+    lives exactly as long as the registry keeps the record: a row
+    rewritten on disk decodes to a new object and gets a new plan, and
+    a record the SQLite decode budget does not hold takes its plan
+    with it when the trace drops it.  It never keeps its verifier
+    alive.  Two traces racing on one record may both build it; either
+    plan is exact.
+    """
+    held = entry._held_plan
+    if held is not None and held[0]() is verifier:
+        return held[1]
+    plan = verifier.plan(entry.record)
+    entry._held_plan = (weakref.ref(verifier), plan)
+    return plan
+
+
 def recorded_message(entry: RegistryRecord) -> MessageLike:
     """The message ``entry``'s copy was embedded with.
 
@@ -618,9 +653,15 @@ def sweep_trace(entries: Sequence[RegistryRecord], document: Document,
     shreds nothing).  Each record is still authenticated under its own
     key, voted against the message it was embedded with, and ranked by
     (p-value, sequence): each recipient keeps their lowest p-value,
-    ties keeping the earlier record.
+    ties keeping the earlier record.  A record its system's warm
+    verifier holds is checked through its held plan, so only the
+    queries whose first condition the suspect holds run.  ``strategy``
+    is checked before the first record, so an empty sweep refuses an
+    unknown one too.
     """
-    lookups: dict[int, Callable[[RegistryRecord], Pipeline]] = {}
+    indexed = _resolve_strategy(strategy)
+    lookups: dict[int, Callable[
+        [RegistryRecord], tuple[Pipeline, Optional[DetectionPlan]]]] = {}
     executor: Optional[LogicalExecutor] = None
     best: dict[str, tuple[tuple, DetectionResult]] = {}
     for entry in entries:
@@ -628,14 +669,13 @@ def sweep_trace(entries: Sequence[RegistryRecord], document: Document,
         lookup = lookups.get(id(system))
         if lookup is None:
             lookup = lookups[id(system)] = system._trace_pipelines(scheme)
-        pipeline = lookup(entry)
+        pipeline, plan = lookup(entry)
         target = shape or pipeline.shape
-        if _resolve_strategy(strategy) and (
-                executor is None or executor.shape != target):
+        if indexed and (executor is None or executor.shape != target):
             executor = LogicalExecutor(document, target)
         verdict = pipeline.detect(
             document, entry.record, expected=recorded_message(entry),
-            shape=target, strategy=strategy, executor=executor)
+            shape=target, strategy=strategy, executor=executor, plan=plan)
         rank = (verdict.p_value,
                 entry.sequence if entry.sequence is not None else 0)
         current = best.get(entry.recipient)

@@ -19,17 +19,24 @@ Detection modes:
   probability that unmarked data matches this well by chance;
 * **blind reconstruction** — per-bit majority voting recovers the
   embedded message without prior knowledge.
+
+Every detection runs through a :class:`DetectionPlan` of the record
+under the decoder's key.  With an indexed executor only the plan's
+queries whose first condition some row of the suspect holds run: any
+other would match no row.  A trace hands in the plans its warm
+verifiers hold (see :mod:`repro.api.system`); every other call builds
+one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.core.algorithms.base import WatermarkAlgorithm, cached_algorithm
 from repro.core.crypto import KeyedPRF
 from repro.core.encoder import read_node_value
-from repro.core.record import WatermarkRecord
+from repro.core.record import WatermarkQuery, WatermarkRecord
 from repro.core.watermark import (
     VoteTally,
     Watermark,
@@ -132,6 +139,25 @@ class DetectionResult(VersionedDocument):
                 f"malformed detection result: {error}") from error
 
 
+class DetectionPlan(NamedTuple):
+    """One record's detection work under one key, prepared once.
+
+    ``queries_rejected`` counts the stored entries the key does not
+    authenticate.  Each authentic entry is grouped in ``groups`` by
+    its query's first condition ``(field, value)``, or listed in
+    ``free`` when its query has no condition, and ``plugins`` holds
+    the plug-in of every authentic entry by its
+    ``algorithm_cache_key``.  A plan holds no reference to its record
+    and depends neither on the suspect nor on its shape, so it serves
+    every detection of that record under that key.
+    """
+
+    queries_rejected: int
+    groups: dict[tuple[str, str], list[WatermarkQuery]]
+    free: list[WatermarkQuery]
+    plugins: dict[str, WatermarkAlgorithm]
+
+
 class WmXMLDecoder:
     """The decoder component of the WmXML architecture."""
 
@@ -165,6 +191,7 @@ class WmXMLDecoder:
         expected: Optional[Watermark] = None,
         indexed: bool = False,
         executor: Optional[LogicalExecutor] = None,
+        plan: Optional[DetectionPlan] = None,
     ) -> DetectionResult:
         """Run the query set Q against ``document`` and tally votes.
 
@@ -180,7 +207,10 @@ class WmXMLDecoder:
         ``document`` in ``shape``; the indexed path then reuses it
         instead of shredding the document again (a trace verifies every
         issued record against one).  Without it, ``indexed=True``
-        builds its own.
+        builds its own.  The indexed path runs only the queries whose
+        first condition some row holds (:class:`DetectionPlan`); the
+        rest would match no row.  ``plan`` is :meth:`plan` of this
+        ``record`` under this decoder's key, built here when not given.
 
         Every stored query is first *authenticated against the key*: its
         keyed selection and bit index must re-derive from (key,
@@ -204,35 +234,39 @@ class WmXMLDecoder:
         elif executor.document is not document or executor.shape != shape:
             raise ValueError(
                 "executor was built over another document or shape")
+        if plan is None:
+            plan = self.plan(record)
+        if executor is None:
+            runs = [*plan.groups.values(), plan.free]
+        else:
+            # Votes are counts, so the order the groups run in changes
+            # neither the tally nor the answered count.
+            runs = [plan.groups[key] for key in
+                    executor.posting_keys.intersection(plan.groups)]
+            runs.append(plan.free)
         tally = VoteTally()
         queries_answered = 0
-        queries_rejected = 0
-        authentic_flags = self._authenticate_all(record)
-        for wm_query, authentic in zip(record.queries, authentic_flags):
-            if not authentic:
-                queries_rejected += 1
-                continue
-            algorithm = cached_algorithm(self._algorithms,
-                                         wm_query.algorithm,
-                                         wm_query.params,
-                                         wm_query.algorithm_cache_key)
-            if executor is not None:
-                try:
-                    nodes = executor.execute(wm_query.query)
-                except RecordError:
-                    nodes = []
-            else:
-                nodes = self._execute(document, wm_query.query, shape)
-            answered = False
-            for node in nodes:
-                value = read_node_value(node)
-                bit = algorithm.extract(value, self.prf, wm_query.identity)
-                if bit is None:
-                    continue
-                tally.add(wm_query.bit_index, bit)
-                answered = True
-            if answered:
-                queries_answered += 1
+        for queries in runs:
+            for wm_query in queries:
+                algorithm = plan.plugins[wm_query.algorithm_cache_key]
+                if executor is not None:
+                    try:
+                        nodes = executor.execute(wm_query.query)
+                    except RecordError:
+                        nodes = []
+                else:
+                    nodes = self._execute(document, wm_query.query, shape)
+                answered = False
+                for node in nodes:
+                    value = read_node_value(node)
+                    bit = algorithm.extract(value, self.prf,
+                                            wm_query.identity)
+                    if bit is None:
+                        continue
+                    tally.add(wm_query.bit_index, bit)
+                    answered = True
+                if answered:
+                    queries_answered += 1
 
         recovered = tally.reconstruct(record.nbits)
         recovered_message, message_status = self._decode_message(recovered)
@@ -250,7 +284,7 @@ class WmXMLDecoder:
             p_value = binomial_pvalue(matching, total)
             bit_error = None
 
-        record_authentic = queries_rejected == 0
+        record_authentic = plan.queries_rejected == 0
         return DetectionResult(
             votes_total=total,
             votes_matching=matching,
@@ -263,27 +297,43 @@ class WmXMLDecoder:
             recovered_message=recovered_message,
             bit_error=bit_error,
             recovered_fraction=tally.recovered_fraction(record.nbits),
-            queries_rejected=queries_rejected,
+            queries_rejected=plan.queries_rejected,
             message_status=message_status,
         )
 
-    # -- helpers ------------------------------------------------------------
+    def plan(self, record: WatermarkRecord) -> DetectionPlan:
+        """``record``'s :class:`DetectionPlan` under this decoder's key.
 
-    def _authenticate_all(self, record: WatermarkRecord) -> list[bool]:
-        """Batch key authentication of every stored entry.
-
-        An entry is authentic when it re-derives from the presented
-        key: its keyed selection fires and its stored bit index matches
-        the key's derivation.  Both decisions run through the PRF's
-        batch APIs in two passes over the identities.
+        An entry is authentic when it re-derives from the key: its
+        keyed selection fires and its stored bit index matches the
+        key's derivation.  Both decisions run through the PRF's batch
+        APIs; one pass over the entries then counts the rejected ones,
+        resolves each authentic entry's plug-in (an unknown one raises
+        here) and groups it by its query's first condition.
         """
         identities = [query.identity for query in record.queries]
         selected = self.prf.selects_many(identities, record.gamma)
         indices = self.prf.bit_indices(identities, record.nbits)
-        return [
-            chosen and index == query.bit_index
-            for query, chosen, index in zip(record.queries, selected, indices)
-        ]
+        rejected = 0
+        groups: dict[tuple[str, str], list[WatermarkQuery]] = {}
+        free: list[WatermarkQuery] = []
+        plugins: dict[str, WatermarkAlgorithm] = {}
+        for query, chosen, index in zip(record.queries, selected, indices):
+            if not chosen or index != query.bit_index:
+                rejected += 1
+                continue
+            key = query.algorithm_cache_key
+            if key not in plugins:
+                plugins[key] = cached_algorithm(
+                    self._algorithms, query.algorithm, query.params, key)
+            conditions = query.query.conditions
+            if conditions:
+                groups.setdefault(conditions[0], []).append(query)
+            else:
+                free.append(query)
+        return DetectionPlan(rejected, groups, free, plugins)
+
+    # -- helpers ------------------------------------------------------------
 
     @staticmethod
     def _execute(document: Document, query, shape: DocumentShape) -> list:

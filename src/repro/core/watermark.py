@@ -50,8 +50,15 @@ class Watermark:
         self.bits: tuple[int, ...] = tuple(bits)
 
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def from_message(cls, message: str) -> "Watermark":
-        """Encode a text message as its UTF-8 bits (MSB first)."""
+        """Encode a text message as its UTF-8 bits (MSB first).
+
+        Memoised, since a watermark is immutable: a trace verifies each
+        record against its recipient id, and hits hand back the same
+        object.  A full memo of the longest messages (1 KiB of text,
+        64 KiB of bits each) holds 16 MiB.
+        """
         if not message:
             raise WatermarkMessageError("message must not be empty")
         data = message.encode("utf-8")
@@ -140,15 +147,29 @@ class VoteTally:
         return 1 if ones > zeros else 0
 
     def reconstruct(self, nbits: int) -> list[Optional[int]]:
-        """Blind per-index majority reconstruction."""
-        return [self.majority(index) for index in range(nbits)]
+        """Blind per-index majority reconstruction.
+
+        Walks the voted indices, not every bit position; an index
+        outside ``[0, nbits)`` is ignored.
+        """
+        recovered: list[Optional[int]] = [None] * nbits
+        for index in self.indices():
+            if 0 <= index < nbits:
+                recovered[index] = self.majority(index)
+        return recovered
 
     def matching_votes(self, expected: Watermark) -> tuple[int, int]:
-        """(votes agreeing with ``expected``, total votes)."""
-        matching = 0
-        for index in range(len(expected)):
-            bit = expected.bits[index]
-            matching += (self.ones if bit else self.zeros).get(index, 0)
+        """(votes agreeing with ``expected``, total votes).
+
+        Walks the tally's entries; a vote at an index outside
+        ``expected`` agrees with nothing.
+        """
+        bits = expected.bits
+        nbits = len(bits)
+        matching = sum(count for index, count in self.ones.items()
+                       if 0 <= index < nbits and bits[index])
+        matching += sum(count for index, count in self.zeros.items()
+                        if 0 <= index < nbits and not bits[index])
         return matching, self.total_votes
 
     def recovered_fraction(self, nbits: int) -> float:

@@ -17,7 +17,9 @@ any number of deployments concurrently — see
 
 Each worker's initializer freezes the heap it was forked with (moves
 it into the collector's permanent generation), so its collections walk
-only the objects it built itself, not the modules it inherited.
+only the objects it built itself, not the modules it inherited, and
+marks the process a worker (:func:`in_worker`), so worker-side caches
+fill only in workers.
 
 Failure handling is :func:`map_recovering`'s alone: a pool whose
 workers died (``BrokenProcessPool``) is discarded so the next request
@@ -40,6 +42,7 @@ __all__ = [
     "CHUNKS_PER_WORKER",
     "chunk_evenly",
     "discard_pool",
+    "in_worker",
     "map_recovering",
     "shared_pool",
     "shutdown_pools",
@@ -59,6 +62,22 @@ CHUNKS_PER_WORKER = 4
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
+#: Set by a pool worker's initializer; false in every other process.
+_IN_WORKER = False
+
+
+def _start_worker() -> None:
+    """A pool worker's initializer: mark the process, freeze its heap."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    gc.freeze()
+
+
+def in_worker() -> bool:
+    """True inside a pool worker; false in the process that maps, where
+    :func:`map_recovering` may run a chunk too."""
+    return _IN_WORKER
+
 
 def shared_pool(processes: int) -> ProcessPoolExecutor:
     """The persistent executor with ``processes`` workers (lazily forked).
@@ -73,7 +92,7 @@ def shared_pool(processes: int) -> ProcessPoolExecutor:
         pool = _POOLS.get(processes)
         if pool is None:
             pool = ProcessPoolExecutor(max_workers=processes,
-                                       initializer=gc.freeze)
+                                       initializer=_start_worker)
             _POOLS[processes] = pool
         return pool
 

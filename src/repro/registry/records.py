@@ -74,11 +74,22 @@ class RegistryRecord(VersionedDocument):
     tenant: Optional[str] = None
     key_id: Optional[int] = None
 
+    #: What a trace's held verifier keeps for this exact object (its
+    #: detection plan; see :mod:`repro.api.system`), so the plan dies
+    #: with the record.  Derived state: not a field, so never
+    #: serialised, hashed, compared, copied or pickled.
+    _held_plan = None
+
     def __post_init__(self) -> None:
         if self.keying not in KEYING_MODES:
             raise RegistryFormatError(
                 f"unknown keying mode {self.keying!r}; "
                 f"choices: {KEYING_MODES}")
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_held_plan", None)
+        return state
 
     def to_dict(self) -> dict:
         data = {

@@ -6,7 +6,7 @@ O(|Q| × |document|).  The paper's architecture runs the queries through
 its "XML query engine" — this module is the engine's indexed fast path:
 
 * the document is shredded **once** through its shape,
-* every field gets an inverted index value -> row ids,
+* every ``(field, value)`` gets an inverted index of row ids,
 * a :class:`~repro.rewriting.logical.LogicalQuery` is answered by
   intersecting the posting lists of its conditions and projecting the
   target field's nodes.
@@ -20,6 +20,12 @@ An executor is read-only once built: :meth:`LogicalExecutor.execute`
 only reads the rows and posting lists, so one instance answers the
 queries of any number of records.  A trace builds one over the
 suspected copy and verifies every issued record against it.
+
+The postings are keyed by the ``(field, value)`` pair a query's
+condition names, and the executor keeps those keys as
+:attr:`LogicalExecutor.posting_keys`: a query whose first condition is
+not among them matches no row, so a decoder skips it without running
+it (see :class:`repro.core.decoder.DetectionPlan`).
 """
 
 from __future__ import annotations
@@ -41,14 +47,15 @@ class LogicalExecutor:
         self.document = document
         self.shape = shape
         self._rows = shape.shred(document)
-        # field -> value -> sorted row ids
-        self._postings: dict[str, dict[str, list[int]]] = {}
+        # (field, value) -> sorted row ids; a row names a field once
+        self._postings: dict[tuple[str, str], list[int]] = {}
         for row_id, row in enumerate(self._rows):
-            for field_name, value in row.values.items():
-                by_value = self._postings.setdefault(field_name, {})
-                ids = by_value.setdefault(value, [])
-                if not ids or ids[-1] != row_id:
-                    ids.append(row_id)
+            for condition in row.values.items():
+                self._postings.setdefault(condition, []).append(row_id)
+        #: Every ``(field, value)`` some row holds: a condition outside
+        #: this set matches no row.
+        self.posting_keys: frozenset[tuple[str, str]] = frozenset(
+            self._postings)
 
     @property
     def row_count(self) -> int:
@@ -57,8 +64,8 @@ class LogicalExecutor:
     def _candidate_ids(self, query: LogicalQuery) -> Optional[list[int]]:
         """Row ids matching all conditions; None means 'all rows'."""
         candidate: Optional[list[int]] = None
-        for field_name, value in query.conditions:
-            ids = self._postings.get(field_name, {}).get(value, [])
+        for condition in query.conditions:
+            ids = self._postings.get(condition, [])
             if candidate is None:
                 candidate = ids
             else:

@@ -24,8 +24,9 @@ import sys
 
 import pytest
 
+import repro.api.pipeline as pipeline_mod
 from repro import faults
-from repro.api import Pipeline
+from repro.api import Pipeline, WmXMLSystem
 from repro.core.crypto import KeyedPRF
 from repro.core.record import WatermarkRecord
 from repro.datasets import bibliography
@@ -580,6 +581,21 @@ class TestPoolChunkRecovery:
         assert [serialize(r.document) for r in pooled] == \
             [serialize(r.document) for r in serial]
         assert [serialize(document) for document in documents] == pool_texts
+
+    def test_a_chunk_run_in_the_caller_caches_no_pipeline(
+            self, monkeypatch, pool_texts):
+        """Only pool workers keep unpickled pipelines: a chunk run back
+        in this process leaves no second copy of the caller's key."""
+        monkeypatch.setattr(pipeline_mod, "_WORKER_PIPELINES", {})
+        system = WmXMLSystem("caller-cache-key")
+        system.register("books", bibliography.default_scheme(2))
+        with injected("pool.chunk", "raise", scope="worker", times=1):
+            pooled = system.embed_many("books", pool_texts, "(c) pool",
+                                       processes=2, output="xml")
+        assert [result.xml for result in pooled] == [
+            result.xml for result in system.embed_many(
+                "books", pool_texts, "(c) pool", output="xml")]
+        assert pipeline_mod._WORKER_PIPELINES == {}
 
     def test_dying_worker_recovers_to_serial_output(self, pool_pipeline,
                                                     pool_texts):

@@ -214,6 +214,16 @@ class TestEmptySweep:
                          strategy="fastest")
         assert shreds == []
 
+    def test_unknown_strategy_refused_by_an_empty_sweep(self, mixed):
+        """The strategy is checked before the first record, so a sweep
+        with no records refuses a bad one as a full sweep does."""
+        system, copies = mixed
+        for tracer, recipients in ((_system(), None), (system, [])):
+            with pytest.raises(WmXMLError,
+                               match="unknown detection strategy"):
+                tracer.trace("books", copies["bob"].document,
+                             strategy="bogus", recipients=recipients)
+
 
 class TestSharedExecutor:
     def test_shared_executor_gives_the_same_verdict(self, mixed):
