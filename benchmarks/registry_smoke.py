@@ -9,7 +9,8 @@ document and assert that ``POST /v1/trace`` accuses a true colluder,
 that a second trace answers the same verdicts from the records the
 first one decoded, that ``GET /v1/ledger/verify`` still reports an
 intact chain, that rewriting one record's payload in the database file
-under the running daemon makes it answer ``chain-broken``, that a
+under the running daemon makes it answer ``chain-broken`` and that a
+trace after it still answers without accusing the renamed id, that a
 colluder's record whose stored bit index is rewritten under the daemon
 is refused by the next trace (the plan the daemon held for the old row
 is not reused), and that both daemon lifetimes exit 0 on SIGTERM with
@@ -190,6 +191,13 @@ def main() -> int:
                                      "verifying intact")
             print("tamper ok: a row rewritten under the live daemon "
                   "answers chain-broken")
+            # The renamed row fails its own verdict, not the whole trace.
+            renamed = client.trace(leak)
+            verdict = renamed.verdicts["mallory"]
+            assert verdict.votes_total == 0, verdict.to_dict()
+            assert "mallory" not in renamed.accused, renamed.to_dict()
+            print(f"renamed row ok: the trace answers (accused "
+                  f"{renamed.accused!r}), 'mallory' has an empty tally")
         finally:
             returncode = stop_daemon(daemon)
         assert returncode == 0, f"daemon exited {returncode}, not 0"

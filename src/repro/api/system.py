@@ -617,6 +617,13 @@ def recorded_message(entry: RegistryRecord) -> MessageLike:
     return identity
 
 
+def _bit_length(message: MessageLike) -> int:
+    """How many bits ``message`` embeds: 8 per UTF-8 byte of a text."""
+    if isinstance(message, str):
+        return 8 * len(message.encode("utf-8"))
+    return len(message)
+
+
 def only_recipients(entries: list[RegistryRecord],
                     recipients: Optional[Iterable[str]]
                     ) -> list[RegistryRecord]:
@@ -658,6 +665,12 @@ def sweep_trace(entries: Sequence[RegistryRecord], document: Document,
     queries whose first condition the suspect holds run.  ``strategy``
     is checked before the first record, so an empty sweep refuses an
     unknown one too.
+
+    A record whose recorded message does not have the record's
+    ``nbits`` bits (a row whose recipient was renamed) gets the verdict
+    of an empty tally and the sweep goes on.  It is never judged
+    blind: a renamed owner row still authenticates under the system
+    key, and a blind verdict could accuse the forged identity.
     """
     indexed = _resolve_strategy(strategy)
     lookups: dict[int, Callable[
@@ -669,13 +682,22 @@ def sweep_trace(entries: Sequence[RegistryRecord], document: Document,
         lookup = lookups.get(id(system))
         if lookup is None:
             lookup = lookups[id(system)] = system._trace_pipelines(scheme)
-        pipeline, plan = lookup(entry)
-        target = shape or pipeline.shape
-        if indexed and (executor is None or executor.shape != target):
-            executor = LogicalExecutor(document, target)
-        verdict = pipeline.detect(
-            document, entry.record, expected=recorded_message(entry),
-            shape=target, strategy=strategy, executor=executor, plan=plan)
+        expected = recorded_message(entry)
+        if _bit_length(expected) != entry.record.nbits:
+            verdict = DetectionResult(
+                votes_total=0, votes_matching=0,
+                queries_total=len(entry.record.queries),
+                queries_answered=0, p_value=1.0, detected=False,
+                alpha=system.alpha,
+                recovered_bits=[None] * entry.record.nbits)
+        else:
+            pipeline, plan = lookup(entry)
+            target = shape or pipeline.shape
+            if indexed and (executor is None or executor.shape != target):
+                executor = LogicalExecutor(document, target)
+            verdict = pipeline.detect(
+                document, entry.record, expected=expected, shape=target,
+                strategy=strategy, executor=executor, plan=plan)
         rank = (verdict.p_value,
                 entry.sequence if entry.sequence is not None else 0)
         current = best.get(entry.recipient)

@@ -15,10 +15,9 @@ collects one *vote* per surviving carrier instance and:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-from scipy import stats
 
 from repro.errors import WatermarkDecodeError, WatermarkMessageError
 
@@ -179,21 +178,94 @@ class VoteTally:
         return len(self.indices()) / nbits
 
 
+#: Bits kept of each binomial coefficient on the first try; a tally
+#: whose bounds round to two doubles is summed again at twice that.
+_TAIL_BITS = 96
+#: Factors multiplied per step while bounding a binomial coefficient.
+_TAIL_CHUNK = 32
+
+
+def _binomial_bounds(n: int, d: int, bits: int) -> tuple[int, int, int]:
+    """``(lo, hi, e)`` with ``lo * 2**e <= C(n, d) <= hi * 2**e``.
+
+    Multiplies ``(n - d + j) / j`` for ``j = 1..d`` a chunk at a time,
+    rounding ``lo`` down and ``hi`` up, and drops ``hi``'s bits past
+    ``bits``.  Exact (``lo == hi``, ``e == 0``) while nothing is
+    dropped: each partial product is itself a binomial coefficient.
+    """
+    lo = hi = 1
+    e = 0
+    base = n - d
+    for a in range(1, d + 1, _TAIL_CHUNK):
+        b = min(a + _TAIL_CHUNK, d + 1)
+        num = math.prod(range(base + a, base + b))
+        den = math.prod(range(a, b))
+        lo = lo * num // den
+        hi = -(-hi * num // den)
+        drop = hi.bit_length() - bits
+        if drop > 0:
+            lo >>= drop
+            hi = -(-hi >> drop)
+            e += drop
+    return lo, hi, e
+
+
+def _tail_bounds(n: int, m: int, bits: int) -> tuple[int, int, int]:
+    """``(lo, hi, e)`` bounding ``sum(C(n, i) for i >= m)`` by
+    ``[lo, hi] * 2**e``, for ``n / 2 < m <= n``.
+
+    Walks down from the largest term, C(n, m): each next term is the
+    last times ``(n - i) / (i + 1)``, a ratio below 1 that falls as
+    ``i`` grows.  Once the lower bound of a term is 0, the terms left
+    sum to at most ``hi / (1 - ratio)``.
+    """
+    t_lo, t_hi, e = _binomial_bounds(n, n - m, bits)
+    s_lo = s_hi = 0
+    i = m
+    while t_lo:
+        s_lo += t_lo
+        s_hi += t_hi
+        t_lo = t_lo * (n - i) // (i + 1)
+        t_hi = -(-t_hi * (n - i) // (i + 1))
+        i += 1
+    s_hi += -(-t_hi * (i + 1) // (2 * i + 1 - n))
+    return s_lo, s_hi, e
+
+
 @functools.lru_cache(maxsize=4096)
 def binomial_pvalue(matches: int, total: int) -> float:
     """P[Binomial(total, 1/2) >= matches] — the false-hit probability.
 
     This is the probability that unwatermarked (random) data yields at
     least this many agreeing votes.  Returns 1.0 for empty tallies so a
-    document with no surviving carriers can never be claimed.  Memoised:
-    a trace asks for one p-value per record, and scipy's tail costs far
-    more than a cache hit, which hands back the same float.
+    document with no surviving carriers can never be claimed.
+
+    The value is the exact tail, ``sum(C(total, i) for i >= matches)
+    / 2**total``, correctly rounded to the nearest double.  The side of
+    the distribution above the mode is summed between integer bounds
+    (the tail itself, or its complement); when both bounds round to one
+    double, so does the exact tail, and otherwise the sum is redone at
+    twice the precision, at worst until nothing is dropped and the sum
+    is exact.  Memoised: a trace asks for one p-value per record.
     """
     if total <= 0:
         return 1.0
     if matches < 0 or matches > total:
         raise ValueError("matches must lie in [0, total]")
-    return float(stats.binom.sf(matches - 1, total, 0.5))
+    if matches == 0:
+        return 1.0
+    upper = 2 * matches > total
+    start = matches if upper else total - matches + 1
+    bits = _TAIL_BITS
+    while True:
+        lo, hi, e = _tail_bounds(total, start, bits)
+        scale = 1 << (total - e)
+        if not upper:
+            lo, hi = scale - hi, scale - lo
+        low = lo / scale
+        if low == hi / scale:
+            return low
+        bits *= 2
 
 
 def bit_error_rate(

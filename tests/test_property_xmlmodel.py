@@ -16,7 +16,10 @@ from repro.xmlmodel import (
 
 # -- strategies ------------------------------------------------------------
 
-tag_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True)
+# The bare name "xml" (any case) is reserved: the tree rejects it.
+tag_names = st.from_regex(
+    r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True,
+).filter(lambda name: name.lower() != "xml")
 attr_names = tag_names
 # XML 1.0 character data: printable unicode without control chars.
 text_values = st.text(

@@ -187,7 +187,11 @@ _content_text = st.text(
     min_size=1,
     max_size=24,
 )
-_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True)
+# The bare name "xml" (any case) is reserved for tags, attributes and
+# processing-instruction targets alike: the tree rejects it.
+_names = st.from_regex(
+    r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True,
+).filter(lambda name: name.lower() != "xml")
 
 
 @st.composite

@@ -305,6 +305,63 @@ def test_row_rewritten_after_a_warm_trace_is_rejected(tmp_path):
     registry.close()
 
 
+def _rename_row(path, recipient, renamed):
+    """Rewrite one row's recipient, in its column and in its payload."""
+    conn = sqlite3.connect(path)
+    sequence, text = conn.execute(
+        "SELECT sequence, payload FROM records WHERE recipient = ?",
+        (recipient,)).fetchone()
+    payload = json.loads(text)
+    payload["recipient"] = renamed
+    conn.execute("UPDATE records SET payload = ?, recipient = ? "
+                 "WHERE sequence = ?",
+                 (json.dumps(payload), renamed, sequence))
+    conn.commit()
+    conn.close()
+
+
+@pytest.mark.parametrize("mode", ["system", "tenant"])
+def test_a_renamed_row_fails_only_its_own_verdict(mode, tmp_path):
+    """Rows renamed to an id of another length (a recipient's and the
+    owner's) get the verdict of an empty tally: the trace still
+    answers, and the forged id is accused of nothing, not even on the
+    owner's copy, whose row still authenticates under the system key."""
+    path = str(tmp_path / "trace.db")
+    owner_message = "(c) trace vectors"
+
+    def open_registry():
+        registry = WatermarkRegistry(SQLiteBackend(path))
+        if mode == "system":
+            system = WmXMLSystem(KEY, registry=registry)
+            system.register("books", bibliography.default_scheme(2))
+            return registry, system, lambda leak: system.trace("books", leak)
+        directory = TenantDirectory(TenantsConfig.from_dict(TENANTS),
+                                    registry=registry)
+        directory.register_all("books", bibliography.default_scheme(2))
+        return registry, directory.system("acme"), \
+            lambda leak: directory.trace("acme", "books", leak)
+
+    registry, system, _ = open_registry()
+    text = _texts(1, books=20)[0]
+    owner = system.embed("books", parse(text), owner_message)
+    copies = {name: system.issue("books", parse(text), name)
+              for name in ("alice", "bob", "carol")}
+    registry.close()
+    _rename_row(path, "bob", "mallory")
+    _rename_row(path, owner_message, "mallory")
+
+    registry, _, trace = open_registry()
+    assert not registry.verify_chain().intact
+    result = trace(copies["alice"].document)
+    assert result.accused == ["alice"]
+    verdict = result.verdicts["mallory"]
+    assert not verdict.detected
+    assert (verdict.votes_total, verdict.p_value) == (0, 1.0)
+    assert trace(owner.document).accused == []
+    assert not registry.verify_chain().intact
+    registry.close()
+
+
 @pytest.mark.parametrize("budget_records", [None, 3])
 def test_concurrent_traces_agree(small_budget, budget_records):
     """4 threads trace one system at once: every reply has the vector's
